@@ -1,4 +1,4 @@
-// Ablation benches for the design choices called out in DESIGN.md §5:
+// Ablation benches for three engine design choices:
 //   A) cell encoding: Roaring bitmap vs std::set vs sorted vector — the
 //      union-heavy propagation is where Roaring earns its keep;
 //   B) measure sharing across lattices (MeasureCache) on/off — one of
@@ -231,7 +231,7 @@ void ChunkSizeAblation() {
 }  // namespace spade
 
 int main() {
-  std::cout << "== Ablations (DESIGN.md §5) ==\n\n";
+  std::cout << "== Ablations ==\n\n";
   spade::bench::CellEncodingAblation();
   spade::bench::MeasureSharingAblation();
   spade::bench::ChunkSizeAblation();

@@ -7,7 +7,7 @@
 // mostly-100% accuracy, with occasional misses on graphs whose score
 // distribution is flat near the threshold (Nobel in the paper).
 //
-// Substrate note (see EXPERIMENTS.md): the paper evaluates aggregates via
+// Substrate note (see bench/README.md): the paper evaluates aggregates via
 // PostgreSQL, so skipping an aggregate saves milliseconds; our in-memory
 // MVDCube evaluates so fast that sampling overhead only amortizes once
 // groups are much larger than the sample (the planner applies exactly that

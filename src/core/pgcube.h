@@ -23,8 +23,8 @@ struct PgCubeStats {
   double aggregate_ms = 0;
 };
 
-/// \brief PGCube: PostgreSQL's one-pass GROUP BY CUBE, reproduced per the
-/// substitution note in DESIGN.md.
+/// \brief PGCube: PostgreSQL's one-pass GROUP BY CUBE, reproduced in memory
+/// (see bench/README.md, "Datasets and substrate").
 ///
 /// Each lattice is evaluated as one "query": the facts are joined with every
 /// dimension's value table (multi-valued dimensions multiply rows, missing

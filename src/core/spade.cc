@@ -7,18 +7,6 @@
 
 namespace spade {
 
-namespace {
-
-/// Element-wise add of per-shard fact counts into a report's vector,
-/// growing it to the longer length. The one definition both merge sites
-/// (per-CFS EvalStats -> partial report, partial -> total) share.
-void MergeShardCounts(const std::vector<size_t>& src, std::vector<size_t>* dst) {
-  if (dst->size() < src.size()) dst->resize(src.size());
-  for (size_t s = 0; s < src.size(); ++s) (*dst)[s] += src[s];
-}
-
-}  // namespace
-
 Spade::Spade(Graph* graph, SpadeOptions options)
     : graph_(graph), options_(std::move(options)) {
   arm_ = std::make_unique<Arm>(options_.max_stored_groups);
@@ -96,12 +84,7 @@ Status Spade::RunOffline(TripleChunkSource* source) {
     return status;
   }
   Timer offline_timer;
-  size_t num_threads = options_.num_threads == 0
-                           ? ThreadPool::HardwareConcurrency()
-                           : options_.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
-  TaskScheduler scheduler(pool.get());
+  OwnedScheduler scheduler(options_.num_threads);
 
   // Parse / scatter / merge-seal / statistics, with the structural summary
   // handed in as the post-parse task so it builds concurrently with the
@@ -112,7 +95,8 @@ Status Spade::RunOffline(TripleChunkSource* source) {
   IngestOptions ingest_options = options_.ingest;
   if (ingest_options.cancel == nullptr) ingest_options.cancel = options_.cancel;
   SPADE_RETURN_NOT_OK(RunStreamingIngest(
-      source, graph_, db_.get(), &offline_stats_, &scheduler, ingest_options,
+      source, graph_, db_.get(), &offline_stats_, scheduler.get(),
+      ingest_options,
       [this, &summary_ms] {
         Timer t;
         summary_ = StructuralSummary::Build(*graph_);
@@ -137,7 +121,7 @@ Status Spade::RunOffline(TripleChunkSource* source) {
     // and bounds) — fanned out per attribute; values are identical to the
     // sequential loop's.
     ComputeAttrStatsRange(*db_, static_cast<AttrId>(offline_stats_.size()),
-                          &scheduler, &offline_stats_);
+                          scheduler.get(), &offline_stats_);
   }
   report_.timings.derivation_ms = timer.ElapsedMillis();
   report_.timings.offline_wall_ms = offline_timer.ElapsedMillis();
@@ -221,27 +205,27 @@ Status Spade::PrepareFactSets() {
   return Status::OK();
 }
 
-Spade::CfsRunState Spade::RunOnlineCfs(uint32_t cfs_id, size_t num_shards,
-                                       const SpadeOptions& opts,
-                                       const CancelCheck* cancel, Arm* arm,
-                                       TaskScheduler* scheduler,
-                                       SpadeReport* report) const {
-  if (cancel != nullptr && cancel->SkipNewWork()) return CfsRunState::kSkipped;
+Spade::CfsResult Spade::RunOnlineCfs(uint32_t cfs_id, size_t num_shards,
+                                     const SpadeOptions& opts,
+                                     const CancelCheck* cancel, Arm* arm,
+                                     TaskScheduler* scheduler) const {
+  CfsResult result;
+  if (cancel != nullptr && cancel->SkipNewWork()) return result;  // kSkipped
   CfsIndex index(fact_sets_[cfs_id].members);
 
   // Step 2: Online Attribute Analysis.
   Timer step;
   CfsAnalysis analysis =
       AnalyzeAttributes(*db_, index, offline_stats_, opts.enumeration);
-  report->timings.attribute_analysis_ms += step.ElapsedMillis();
+  result.analysis_ms = step.ElapsedMillis();
   step.Restart();
 
   // Step 3: Aggregate Enumeration.
   std::vector<LatticeSpec> lattices = EnumerateLattices(
       *db_, index, analysis, offline_stats_, opts.enumeration);
-  report->num_lattices += lattices.size();
-  report->num_candidate_aggregates += CountCandidateAggregates(cfs_id, lattices);
-  report->timings.enumeration_ms += step.ElapsedMillis();
+  result.num_lattices = lattices.size();
+  result.num_candidate_aggregates = CountCandidateAggregates(cfs_id, lattices);
+  result.enumeration_ms = step.ElapsedMillis();
   step.Restart();
 
   // Step 4: Aggregate Evaluation, behind the uniform evaluator interface.
@@ -267,66 +251,67 @@ Spade::CfsRunState Spade::RunOnlineCfs(uint32_t cfs_id, size_t num_shards,
   inputs.offline_stats = &offline_stats_;
   inputs.cancel = cancel;
 
-  EvalStats stats = evaluator->EvaluateCfs(inputs, arm, scheduler);
-  report->num_evaluated_aggregates += stats.num_mdas_evaluated;
-  report->num_reused_aggregates += stats.num_mdas_reused;
-  report->num_pruned_aggregates += stats.num_mdas_pruned;
-  report->num_groups_emitted += stats.num_groups_emitted;
-  report->num_groups_skipped += stats.num_groups_skipped;
-  report->timings.earlystop_ms += stats.earlystop_ms;
-  report->timings.evaluation_ms += step.ElapsedMillis();
-  report->shard_merge_ms += stats.shard_merge_ms;
-  MergeShardCounts(stats.shard_fact_counts, &report->shard_fact_counts);
-  report->lattice_workers_used =
-      std::max(report->lattice_workers_used, stats.lattice_workers_used);
-  report->lattice_wall_ms += stats.lattice_wall_ms;
-  report->lattice_work_ms += stats.lattice_work_ms;
-  report->lattice_peak_partial_cells = std::max(
-      report->lattice_peak_partial_cells, stats.lattice_peak_partial_cells);
-  report->peak_bitmap_bytes =
-      std::max(report->peak_bitmap_bytes, stats.peak_bitmap_bytes);
-  if (stats.aborted) return CfsRunState::kAborted;
-  if (stats.budget_truncated) return CfsRunState::kTruncated;
-  return CfsRunState::kCompleted;
+  result.stats = evaluator->EvaluateCfs(inputs, arm, scheduler);
+  result.evaluation_ms = step.ElapsedMillis();
+  result.state = result.stats.aborted            ? CfsRunState::kAborted
+                 : result.stats.budget_truncated ? CfsRunState::kTruncated
+                                                 : CfsRunState::kCompleted;
+  return result;
 }
 
-namespace {
-
-/// Fold one CFS's online deltas into the pipeline report. Counts are exact;
-/// timing fields accumulate per-worker *work* time (wall-clock is tracked
-/// separately as online_wall_ms).
-void MergeCfsReport(const SpadeReport& cfs, SpadeReport* total) {
+void Spade::MergeCfsReport(const CfsResult& cfs, SpadeReport* total) {
+  const EvalStats& stats = cfs.stats;
   total->num_lattices += cfs.num_lattices;
   total->num_candidate_aggregates += cfs.num_candidate_aggregates;
-  total->num_evaluated_aggregates += cfs.num_evaluated_aggregates;
-  total->num_reused_aggregates += cfs.num_reused_aggregates;
-  total->num_pruned_aggregates += cfs.num_pruned_aggregates;
-  total->num_groups_emitted += cfs.num_groups_emitted;
-  total->num_groups_skipped += cfs.num_groups_skipped;
-  total->shard_merge_ms += cfs.shard_merge_ms;
-  MergeShardCounts(cfs.shard_fact_counts, &total->shard_fact_counts);
+  total->num_evaluated_aggregates += stats.num_mdas_evaluated;
+  total->num_reused_aggregates += stats.num_mdas_reused;
+  total->num_pruned_aggregates += stats.num_mdas_pruned;
+  total->num_groups_emitted += stats.num_groups_emitted;
+  total->num_groups_skipped += stats.num_groups_skipped;
+  total->shard_merge_ms += stats.shard_merge_ms;
+  std::vector<size_t>& counts = total->shard_fact_counts;
+  if (counts.size() < stats.shard_fact_counts.size()) {
+    counts.resize(stats.shard_fact_counts.size());
+  }
+  for (size_t s = 0; s < stats.shard_fact_counts.size(); ++s) {
+    counts[s] += stats.shard_fact_counts[s];
+  }
   total->lattice_workers_used =
-      std::max(total->lattice_workers_used, cfs.lattice_workers_used);
-  total->lattice_wall_ms += cfs.lattice_wall_ms;
-  total->lattice_work_ms += cfs.lattice_work_ms;
-  total->lattice_peak_partial_cells =
-      std::max(total->lattice_peak_partial_cells, cfs.lattice_peak_partial_cells);
+      std::max(total->lattice_workers_used, stats.lattice_workers_used);
+  total->lattice_wall_ms += stats.lattice_wall_ms;
+  total->lattice_work_ms += stats.lattice_work_ms;
+  total->lattice_peak_partial_cells = std::max(
+      total->lattice_peak_partial_cells, stats.lattice_peak_partial_cells);
   total->peak_bitmap_bytes =
-      std::max(total->peak_bitmap_bytes, cfs.peak_bitmap_bytes);
-  total->timings.attribute_analysis_ms += cfs.timings.attribute_analysis_ms;
-  total->timings.enumeration_ms += cfs.timings.enumeration_ms;
-  total->timings.earlystop_ms += cfs.timings.earlystop_ms;
-  total->timings.evaluation_ms += cfs.timings.evaluation_ms;
+      std::max(total->peak_bitmap_bytes, stats.peak_bitmap_bytes);
+  total->timings.attribute_analysis_ms += cfs.analysis_ms;
+  total->timings.enumeration_ms += cfs.enumeration_ms;
+  total->timings.earlystop_ms += stats.earlystop_ms;
+  total->timings.evaluation_ms += cfs.evaluation_ms;
 }
 
-}  // namespace
+Status Spade::EvaluateCfsBatch(const std::vector<uint32_t>& ids,
+                               size_t num_shards, const SpadeOptions& opts,
+                               const CancelCheck& cancel,
+                               TaskScheduler* scheduler,
+                               std::map<std::string, CfsCacheEntry>* cache,
+                               Arm* arm, SpadeReport* report) const {
+  // A CFS with a valid cache entry (same name, same member list — ApplyDelta
+  // already dropped anything whose attributes changed) replays its retained
+  // shard; everything else evaluates fresh.
+  std::vector<const CfsCacheEntry*> cached(ids.size(), nullptr);
+  if (cache != nullptr) {
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const CandidateFactSet& set = fact_sets_[ids[i]];
+      auto it = cache->find(set.name);
+      if (it != cache->end() && it->second.members == set.members) {
+        cached[i] = &it->second;
+      }
+    }
+  }
 
-Result<Spade::CfsBatchOutcome> Spade::EvaluateCfsBatch(
-    const std::vector<uint32_t>& ids, size_t num_shards,
-    const SpadeOptions& opts, const CancelCheck& cancel,
-    TaskScheduler* scheduler, Arm* arm, SpadeReport* report) const {
-  // Every CFS evaluates into its own shard; the commit rule below decides
-  // what the caller keeps. A cancelled run's fan-out leaves a mix of
+  // Every fresh CFS evaluates into its own shard; the commit rule below
+  // decides what the caller keeps. A cancelled run's fan-out leaves a mix of
   // completed / truncated / aborted / skipped shards whose composition is
   // timing-dependent — but the committed result is not, because absorption
   // walks ids in order and stops at the first shard that is not a clean
@@ -334,14 +319,14 @@ Result<Spade::CfsBatchOutcome> Spade::EvaluateCfsBatch(
   // first). Everything past the cut is discarded, so races only ever cost
   // wasted work, never nondeterminism.
   std::vector<Arm> shards(ids.size(), Arm(opts.max_stored_groups));
-  std::vector<SpadeReport> partials(ids.size());
-  std::vector<CfsRunState> states(ids.size(), CfsRunState::kSkipped);
+  std::vector<CfsResult> results(ids.size());
   try {
     scheduler->ParallelFor(
         ids.size(),
         [&](size_t i) {
-          states[i] = RunOnlineCfs(ids[i], num_shards, opts, &cancel,
-                                   &shards[i], scheduler, &partials[i]);
+          if (cached[i] != nullptr) return;
+          results[i] = RunOnlineCfs(ids[i], num_shards, opts, &cancel,
+                                    &shards[i], scheduler);
         },
         &cancel);
   } catch (const std::exception& e) {
@@ -351,117 +336,47 @@ Result<Spade::CfsBatchOutcome> Spade::EvaluateCfsBatch(
     return Status::Internal("online evaluation failed: unknown exception");
   }
 
-  CfsBatchOutcome out;
+  // Cached and fresh shards interleave exactly where a full evaluation
+  // would have produced them, so the absorbed entry order (and therefore
+  // every downstream ranking tie-break) is bit-identical to one.
   for (size_t i = 0; i < ids.size(); ++i) {
-    if (states[i] == CfsRunState::kCompleted ||
-        states[i] == CfsRunState::kTruncated) {
-      MergeCfsReport(partials[i], report);
-      arm->Absorb(std::move(shards[i]));
-      if (states[i] == CfsRunState::kCompleted) {
-        ++out.num_completed;
-        continue;
-      }
-      out.truncated = true;
-      out.reason = CancelReason::kBudget;
-      return out;
-    }
-    // kAborted / kSkipped: cut here. The shard (if any) is timing-dependent
-    // partial output — discard it and everything after.
-    out.truncated = true;
-    out.reason = cancel.reason() != CancelReason::kNone ? cancel.reason()
-                                                        : CancelReason::kCancelled;
-    return out;
-  }
-  return out;
-}
-
-Result<Spade::CfsBatchOutcome> Spade::EvaluateAllCfsCached(
-    size_t num_shards, const CancelCheck& cancel, TaskScheduler* scheduler) {
-  const uint32_t num_cfs = static_cast<uint32_t>(fact_sets_.size());
-  const bool use_cache = options_.enable_incremental;
-  // Partition the selection: a CFS with a valid cache entry (same name,
-  // same member list — ApplyDelta already dropped anything whose attributes
-  // changed) absorbs its retained shard; everything else evaluates fresh.
-  std::vector<uint32_t> fresh;
-  std::vector<const CfsCacheEntry*> cached(num_cfs, nullptr);
-  fresh.reserve(num_cfs);
-  for (uint32_t id = 0; id < num_cfs; ++id) {
-    if (use_cache) {
-      auto it = online_cache_.find(fact_sets_[id].name);
-      if (it != online_cache_.end() &&
-          it->second.members == fact_sets_[id].members) {
-        cached[id] = &it->second;
-        continue;
-      }
-    }
-    fresh.push_back(id);
-  }
-
-  std::vector<Arm> shards(fresh.size(), Arm(options_.max_stored_groups));
-  std::vector<SpadeReport> partials(fresh.size());
-  std::vector<CfsRunState> states(fresh.size(), CfsRunState::kSkipped);
-  try {
-    scheduler->ParallelFor(
-        fresh.size(),
-        [&](size_t i) {
-          states[i] = RunOnlineCfs(fresh[i], num_shards, options_, &cancel,
-                                   &shards[i], scheduler, &partials[i]);
-        },
-        &cancel);
-  } catch (const std::exception& e) {
-    return Status::Internal(std::string("online evaluation failed: ") +
-                            e.what());
-  } catch (...) {
-    return Status::Internal("online evaluation failed: unknown exception");
-  }
-
-  // Commit walk over ALL cfs_ids in ascending order — cached and fresh
-  // shards interleave exactly where the serial run would have produced
-  // them, so the absorbed entry order (and therefore every downstream
-  // ranking tie-break) is bit-identical to a full re-evaluation.
-  CfsBatchOutcome out;
-  size_t fi = 0;
-  for (uint32_t id = 0; id < num_cfs; ++id) {
-    if (cached[id] != nullptr) {
+    if (cached[i] != nullptr) {
       // A retained shard is a complete deterministic group stream for this
       // CFS: it commits exactly like a fresh kCompleted shard.
-      MergeCfsReport(cached[id]->partial, &report_);
-      Arm copy = cached[id]->shard;
-      arm_->Absorb(std::move(copy));
-      ++report_.num_cfs_reused;
-      ++out.num_completed;
+      MergeCfsReport(cached[i]->partial, report);
+      Arm copy = cached[i]->shard;
+      arm->Absorb(std::move(copy));
+      ++report->num_cfs_reused;
+      ++report->num_cfs_completed;
       continue;
     }
-    const size_t i = fi++;
-    if (states[i] == CfsRunState::kCompleted ||
-        states[i] == CfsRunState::kTruncated) {
-      MergeCfsReport(partials[i], &report_);
-      if (use_cache && states[i] == CfsRunState::kCompleted) {
-        // Cache the pre-absorb shard (a copy: Absorb consumes) so a later
-        // run can replay it without re-evaluating.
-        CfsCacheEntry entry;
-        entry.members = fact_sets_[id].members;
-        entry.shard = shards[i];
-        entry.partial = partials[i];
-        online_cache_[fact_sets_[id].name] = std::move(entry);
-      }
-      arm_->Absorb(std::move(shards[i]));
-      if (states[i] == CfsRunState::kCompleted) {
-        ++out.num_completed;
-        continue;
-      }
-      out.truncated = true;
-      out.reason = CancelReason::kBudget;
-      return out;
+    const CfsResult& result = results[i];
+    if (result.state == CfsRunState::kAborted ||
+        result.state == CfsRunState::kSkipped) {
+      // Cut here. The shard (if any) is timing-dependent partial output —
+      // discard it and everything after; it is never cached.
+      report->truncated = true;
+      report->cancel_reason = cancel.reason() != CancelReason::kNone
+                                  ? cancel.reason()
+                                  : CancelReason::kCancelled;
+      return Status::OK();
     }
-    // kAborted / kSkipped: cut here (same canonical-prefix rule as
-    // EvaluateCfsBatch); a timing-dependent partial shard is never cached.
-    out.truncated = true;
-    out.reason = cancel.reason() != CancelReason::kNone ? cancel.reason()
-                                                        : CancelReason::kCancelled;
-    return out;
+    MergeCfsReport(result, report);
+    if (cache != nullptr && result.state == CfsRunState::kCompleted) {
+      // Cache the pre-absorb shard (a copy: Absorb consumes) so a later
+      // run can replay it without re-evaluating.
+      const CandidateFactSet& set = fact_sets_[ids[i]];
+      (*cache)[set.name] = CfsCacheEntry{set.members, shards[i], result};
+    }
+    arm->Absorb(std::move(shards[i]));
+    if (result.state == CfsRunState::kTruncated) {
+      report->truncated = true;
+      report->cancel_reason = CancelReason::kBudget;
+      return Status::OK();
+    }
+    ++report->num_cfs_completed;
   }
-  return out;
+  return Status::OK();
 }
 
 Result<std::vector<Insight>> Spade::RunOnline() {
@@ -469,69 +384,30 @@ Result<std::vector<Insight>> Spade::RunOnline() {
     return Status::Internal("RunOffline() must complete before RunOnline()");
   }
   Timer online_timer;
-  Timer timer;
+  ResetOnlineState();
 
   // Step 1: Candidate Fact Set Selection (a no-op when a loaded snapshot
   // already restored the selection — that time is in cfs_selection_ms).
   SPADE_RETURN_NOT_OK(PrepareFactSets());
-  timer.Restart();
 
-  // Steps 2-4 per CFS. Every CFS evaluates into its own ARM shard
-  // (AggregateKey embeds the cfs_id, so shards never share keys); shards are
-  // absorbed in cfs_id order, which makes the result independent of the
-  // thread count — bit-identical insights and counts at any num_threads.
-  size_t num_threads = options_.num_threads == 0
-                           ? ThreadPool::HardwareConcurrency()
-                           : options_.num_threads;
-  report_.num_threads_used = num_threads;
+  // Steps 2-5: the core Explore() runs, over every fact set with the
+  // pipeline's own options, committing into arm_ / report_ and through the
+  // incremental cache when it is enabled.
+  OwnedScheduler scheduler(options_.num_threads);
+  report_.num_threads_used = scheduler.num_threads();
   report_.simd_kernel = simd::FoldKernelKindName(
       simd::ResolveFoldKernel(options_.mvd.simd).kind);
-  // Within-CFS sharding: auto means one shard per worker, so a lone large
-  // CFS can still occupy the whole pool. Results are bit-identical at every
-  // shard count, so the resolution only affects wall-clock. Ineligible
-  // configurations resolve to 1 (same rule the factory dispatches on), so
-  // the report never claims sharding that did not run.
-  size_t num_shards = ResolveShardCount(options_.algorithm,
-                                        options_.enable_earlystop,
-                                        options_.num_shards, num_threads);
-  report_.num_shards_used = num_shards;
-
-  // One code path for both modes: a null pool makes the scheduler run every
-  // CFS inline in order. Outer parallelism is across CFSs; within a CFS, the
-  // evaluator fans the per-lattice pre-builds out on the same scheduler
-  // (nested ParallelFor). The calling thread participates in every
-  // ParallelFor, so the pool carries num_threads - 1 workers.
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
-  TaskScheduler scheduler(pool.get());
-
-  // Deadline / cancellation plumbing: an external token (options_.cancel)
-  // lets a caller abort mid-run; deadline_ms bounds the wall-clock. Both
-  // funnel into one CancelCheck — a local token backs the deadline latch
-  // when no external one is supplied.
-  CancelToken local_token;
-  CancelToken* token = options_.cancel != nullptr ? options_.cancel
-                                                  : &local_token;
-  Deadline deadline = options_.deadline_ms > 0
-                          ? Deadline::After(options_.deadline_ms)
-                          : Deadline::Never();
-  CancelCheck cancel(token, deadline);
-
-  auto batch = EvaluateAllCfsCached(num_shards, cancel, &scheduler);
-  SPADE_RETURN_NOT_OK(batch.status());
-  report_.truncated = batch->truncated;
-  report_.cancel_reason = batch->reason;
-  report_.num_cfs_completed = batch->num_completed;
+  ExploreRequest request;
+  request.cancel = options_.cancel;
+  auto outcome = ExploreInto(
+      request, scheduler.get(),
+      options_.enable_incremental ? &online_cache_ : nullptr, arm_.get(),
+      &report_);
+  SPADE_RETURN_NOT_OK(outcome.status());
   // Early-stop time is inside evaluation wall-clock; report it separately.
   report_.timings.evaluation_ms -= report_.timings.earlystop_ms;
-  timer.Restart();
-
-  // Step 5: Top-k Computation.
-  std::vector<Insight> insights =
-      BuildInsights(arm_->TopK(options_.top_k, options_.interestingness));
-  report_.timings.topk_ms = timer.ElapsedMillis();
   report_.timings.online_wall_ms = online_timer.ElapsedMillis();
-  return insights;
+  return std::move(outcome->insights);
 }
 
 std::vector<Insight> Spade::BuildInsights(std::vector<Arm::Ranked> ranked) const {
@@ -555,6 +431,17 @@ Result<ExploreOutcome> Spade::Explore(const ExploreRequest& request,
     return Status::Internal(
         "RunOffline() and PrepareFactSets() must complete before Explore()");
   }
+  // Request-local state only: concurrent requests never share a mutable
+  // byte.
+  Arm arm(options_.max_stored_groups);
+  SpadeReport report;
+  return ExploreInto(request, scheduler, /*cache=*/nullptr, &arm, &report);
+}
+
+Result<ExploreOutcome> Spade::ExploreInto(
+    const ExploreRequest& request, TaskScheduler* scheduler,
+    std::map<std::string, CfsCacheEntry>* cache, Arm* arm,
+    SpadeReport* report) const {
   // Resolve the CFS subset.
   std::vector<uint32_t> ids;
   if (request.cfs_names.empty()) {
@@ -585,14 +472,22 @@ Result<ExploreOutcome> Spade::Explore(const ExploreRequest& request,
     opts.enumeration.min_support_ratio = *request.min_support_ratio;
   }
 
+  // Within-CFS sharding: auto means one shard per worker, so a lone large
+  // CFS can still occupy the whole pool. Results are bit-identical at every
+  // shard count, so the resolution only affects wall-clock. Ineligible
+  // configurations resolve to 1 (same rule the factory dispatches on), so
+  // the report never claims sharding that did not run.
   TaskScheduler serial(nullptr);
   TaskScheduler* sched = scheduler != nullptr ? scheduler : &serial;
   const size_t num_shards =
       ResolveShardCount(opts.algorithm, opts.enable_earlystop, opts.num_shards,
                         sched->num_threads());
+  report->num_shards_used = num_shards;
 
-  // Per-request deadline: an explicit request value (even 0, meaning
-  // "already expired") overrides the pipeline default.
+  // Deadline / cancellation plumbing: the request's token (or a local one
+  // backing the deadline latch) and its deadline funnel into one
+  // CancelCheck. An explicit request deadline (even 0, meaning "already
+  // expired") overrides the pipeline default.
   CancelToken local_token;
   CancelToken* token = request.cancel != nullptr ? request.cancel : &local_token;
   Deadline deadline = Deadline::Never();
@@ -603,21 +498,23 @@ Result<ExploreOutcome> Spade::Explore(const ExploreRequest& request,
   }
   CancelCheck cancel(token, deadline);
 
-  // Same shard-and-absorb discipline as RunOnline(), on request-local state:
-  // results are bit-identical at every thread/shard count and concurrent
-  // requests never share a mutable byte.
-  Arm arm(opts.max_stored_groups);
-  SpadeReport batch_report;
-  auto batch = EvaluateCfsBatch(ids, num_shards, opts, cancel, sched, &arm,
-                                &batch_report);
-  SPADE_RETURN_NOT_OK(batch.status());
+  // Steps 2-4 per CFS. Every CFS evaluates into its own ARM shard
+  // (AggregateKey embeds the cfs_id, so shards never share keys); shards are
+  // absorbed in cfs_id order, which makes the result independent of the
+  // thread and shard count. Outer parallelism is across CFSs; within a CFS
+  // the evaluator nests its own ParallelFors on the same scheduler.
+  SPADE_RETURN_NOT_OK(EvaluateCfsBatch(ids, num_shards, opts, cancel, sched,
+                                       cache, arm, report));
 
+  // Step 5: Top-k Computation.
+  Timer topk;
   ExploreOutcome outcome;
   outcome.num_cfs_explored = ids.size();
-  outcome.truncated = batch->truncated;
-  outcome.cancel_reason = batch->reason;
-  outcome.num_cfs_completed = batch->num_completed;
-  outcome.insights = BuildInsights(arm.TopK(opts.top_k, opts.interestingness));
+  outcome.truncated = report->truncated;
+  outcome.cancel_reason = report->cancel_reason;
+  outcome.num_cfs_completed = report->num_cfs_completed;
+  outcome.insights = BuildInsights(arm->TopK(opts.top_k, opts.interestingness));
+  report->timings.topk_ms = topk.ElapsedMillis();
   return outcome;
 }
 

@@ -269,7 +269,10 @@ class Spade {
   /// byte-identical store, identical statistics and downstream results.
   Status RunOffline(TripleChunkSource* source);
 
-  /// Online Processing, steps 1-5. Requires RunOffline() first.
+  /// Online Processing, steps 1-5. Requires RunOffline() first. Steps 2-5
+  /// are Explore() over every fact set with the pipeline's own options,
+  /// except that the results also land in report()/arm() (reset at every
+  /// call) and, with enable_incremental, go through the per-CFS cache.
   Result<std::vector<Insight>> RunOnline();
 
   /// Step 1 (Candidate Fact Set Selection) on its own: populate fact_sets().
@@ -357,69 +360,79 @@ class Spade {
     kAborted,      ///< deadline/cancel mid-flight: timing-dependent partial
   };
 
-  /// What a batch of CFS evaluations committed.
-  struct CfsBatchOutcome {
-    bool truncated = false;
-    CancelReason reason = CancelReason::kNone;
-    size_t num_completed = 0;
+  /// What one CFS's steps 2-4 produced: how it ended, its enumeration
+  /// counts, its evaluator stats and the per-step work times. The one input
+  /// MergeCfsReport() folds into a SpadeReport.
+  struct CfsResult {
+    CfsRunState state = CfsRunState::kSkipped;
+    size_t num_lattices = 0;
+    size_t num_candidate_aggregates = 0;
+    double analysis_ms = 0;
+    double enumeration_ms = 0;
+    double evaluation_ms = 0;  ///< includes stats.earlystop_ms
+    EvalStats stats;
   };
 
-  /// Steps 2-4 for one CFS: attribute analysis, enumeration, evaluation into
-  /// `arm` (a per-CFS shard in parallel mode, the global ARM when serial).
-  /// `num_shards` is the resolved within-CFS shard count (>= 1); `opts`
-  /// carries the (possibly per-request) evaluation knobs. Timing/count
-  /// deltas go to `report` (merged under the caller's control). Const and
-  /// state-free: safe to run concurrently for different (cfs_id, arm,
-  /// report) triples.
-  CfsRunState RunOnlineCfs(uint32_t cfs_id, size_t num_shards,
-                           const SpadeOptions& opts, const CancelCheck* cancel,
-                           Arm* arm, TaskScheduler* scheduler,
-                           SpadeReport* report) const;
-
-  /// Evaluate `ids` (ascending cfs_ids) under `cancel`, then commit shards
-  /// into `arm` in order by the rule that keeps results a canonical prefix:
-  /// absorb while CFSs completed; absorb a budget-truncated CFS's
-  /// deterministic prefix and stop; discard aborted/skipped CFSs and stop.
-  /// Exceptions from the evaluation fan-out (failpoints, bad_alloc) come
-  /// back as an error Status, never propagate. Merges the absorbed CFSs'
-  /// partial reports into `report`.
-  Result<CfsBatchOutcome> EvaluateCfsBatch(const std::vector<uint32_t>& ids,
-                                           size_t num_shards,
-                                           const SpadeOptions& opts,
-                                           const CancelCheck& cancel,
-                                           TaskScheduler* scheduler, Arm* arm,
-                                           SpadeReport* report) const;
-
   /// One retained per-CFS online result (SpadeOptions::enable_incremental):
-  /// the CFS's full pre-absorb ARM shard plus its partial report, keyed by
-  /// CFS name in online_cache_. Valid while the CFS's member list and every
+  /// the CFS's full pre-absorb ARM shard plus its CfsResult, keyed by CFS
+  /// name in online_cache_. Valid while the CFS's member list and every
   /// attribute with support in it are unchanged; ApplyDelta() revalidates
   /// and retags entries, Compact() drops them all.
   struct CfsCacheEntry {
     std::vector<TermId> members;
     Arm shard{0};
-    SpadeReport partial;
+    CfsResult partial;
   };
+
+  /// Steps 2-4 for one CFS: attribute analysis, enumeration, evaluation into
+  /// `arm` (its own per-CFS shard). `num_shards` is the resolved within-CFS
+  /// shard count (>= 1); `opts` carries the (possibly per-request)
+  /// evaluation knobs. Const and state-free: safe to run concurrently for
+  /// different (cfs_id, arm) pairs.
+  CfsResult RunOnlineCfs(uint32_t cfs_id, size_t num_shards,
+                         const SpadeOptions& opts, const CancelCheck* cancel,
+                         Arm* arm, TaskScheduler* scheduler) const;
+
+  /// Fold one committed CFS's result into `total`. Counts are exact; timing
+  /// fields accumulate per-worker *work* time (wall-clock is tracked
+  /// separately as online_wall_ms).
+  static void MergeCfsReport(const CfsResult& cfs, SpadeReport* total);
+
+  /// Evaluate `ids` (ascending cfs_ids) under `cancel`, then commit shards
+  /// into `arm` in order by the rule that keeps results a canonical prefix:
+  /// absorb while CFSs completed; absorb a budget-truncated CFS's
+  /// deterministic prefix and stop; discard aborted/skipped CFSs and stop.
+  /// With a non-null `cache`, CFSs holding a valid entry replay it instead
+  /// of evaluating (in their place in the walk) and completed fresh CFSs are
+  /// stored into it. Exceptions from the evaluation fan-out (failpoints,
+  /// bad_alloc) come back as an error Status, never propagate. Merges the
+  /// absorbed CFSs' results into `report` and records there what was
+  /// committed (truncated, cancel_reason, num_cfs_completed).
+  Status EvaluateCfsBatch(const std::vector<uint32_t>& ids, size_t num_shards,
+                          const SpadeOptions& opts, const CancelCheck& cancel,
+                          TaskScheduler* scheduler,
+                          std::map<std::string, CfsCacheEntry>* cache,
+                          Arm* arm, SpadeReport* report) const;
+
+  /// Steps 2-5 for one request, the core of both Explore() and RunOnline():
+  /// resolve the requested CFSs, overlay the request's knobs, resolve the
+  /// shard count and the cancel/deadline check, evaluate and commit into
+  /// `arm` / `report` (through `cache` when non-null), then rank.
+  Result<ExploreOutcome> ExploreInto(
+      const ExploreRequest& request, TaskScheduler* scheduler,
+      std::map<std::string, CfsCacheEntry>* cache, Arm* arm,
+      SpadeReport* report) const;
 
   /// The sequential offline pass over graph_ (summary, direct tables,
   /// statistics, derivations). RunOffline() wraps it; Compact() reruns it
   /// over the canonically rebuilt graph.
   Status BuildOfflineSequential();
 
-  /// Drop arm_ and every online-phase report field; offline fields and the
-  /// incremental cache stay. ApplyDelta()/Compact() call this so the next
-  /// RunOnline() accumulates from zero.
+  /// Drop arm_ and every online-phase report field; offline fields,
+  /// cfs_selection_ms (the time of the selection the current fact sets came
+  /// from) and the incremental cache stay. RunOnline() starts with it, so
+  /// report() describes the last run; ApplyDelta()/Compact() call it too.
   void ResetOnlineState();
-
-  /// RunOnline()'s steps 2-4 with the incremental cache: evaluate only CFSs
-  /// without a valid cache entry, then walk every cfs_id in ascending order,
-  /// absorbing cached shards (copies) and fresh shards under the same
-  /// canonical-prefix commit rule as EvaluateCfsBatch. Completed fresh CFSs
-  /// are cached (pre-absorb copies) when incremental mode is on; with it
-  /// off this degenerates to the plain batch evaluation.
-  Result<CfsBatchOutcome> EvaluateAllCfsCached(size_t num_shards,
-                                               const CancelCheck& cancel,
-                                               TaskScheduler* scheduler);
 
   /// Turn a ranking into presentable insights (provenance + SPARQL).
   std::vector<Insight> BuildInsights(std::vector<Arm::Ranked> ranked) const;

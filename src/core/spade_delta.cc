@@ -81,7 +81,6 @@ void Spade::ResetOnlineState() {
   report_.cancel_reason = CancelReason::kNone;
   report_.num_cfs_completed = 0;
   SpadeTimings& t = report_.timings;
-  t.cfs_selection_ms = 0;
   t.attribute_analysis_ms = 0;
   t.enumeration_ms = 0;
   t.earlystop_ms = 0;

@@ -11,7 +11,7 @@ namespace spade {
 /// The six real-world graphs of Table 2. The original dumps are not
 /// redistributable / reachable offline, so each is simulated by a
 /// deterministic generator reproducing the structural characteristics that
-/// drive every experiment (see DESIGN.md, substitution table):
+/// drive every experiment (see bench/README.md, "Datasets and substrate"):
 ///   - Airline: originally relational; one fact type, flat single-valued
 ///     numeric tuples, no links => no derivations apply (Experiment 1's
 ///     negative control);
@@ -40,7 +40,7 @@ std::vector<RealDataset> AllRealDatasets();
 
 /// Generate a dataset. `scale` multiplies entity counts (1.0 reproduces the
 /// Table 2 profile for the small graphs; DBLP/Airline are generated at a
-/// documented fraction of their original size — see EXPERIMENTS.md).
+/// documented fraction of their original size — see bench/README.md).
 std::unique_ptr<Graph> GenerateRealDataset(RealDataset dataset, uint64_t seed,
                                            double scale = 1.0);
 

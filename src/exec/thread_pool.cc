@@ -61,6 +61,14 @@ size_t ThreadPool::HardwareConcurrency() {
   return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
+OwnedScheduler::OwnedScheduler(size_t num_threads)
+    : pool_([num_threads] {
+        const size_t n = num_threads == 0 ? ThreadPool::HardwareConcurrency()
+                                          : num_threads;
+        return n > 1 ? std::make_unique<ThreadPool>(n - 1) : nullptr;
+      }()),
+      scheduler_(pool_.get()) {}
+
 WorkStealingDeque::Task* ThreadPool::TryAcquire(size_t index) {
   // Own work first (LIFO keeps the task's working set hot) ...
   if (WorkStealingDeque::Task* t = deques_[index]->PopBottom()) return t;

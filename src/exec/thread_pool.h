@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -113,6 +114,27 @@ class TaskScheduler {
 
  private:
   ThreadPool* pool_;
+};
+
+/// \brief A TaskScheduler together with the pool it schedules on, sized
+/// from a thread count: 0 = hardware concurrency, 1 = serial (no pool).
+/// The calling thread takes part in every ParallelFor, so `num_threads`
+/// compute threads need a pool of num_threads - 1 workers; this is the one
+/// place that rule lives.
+class OwnedScheduler {
+ public:
+  explicit OwnedScheduler(size_t num_threads);
+
+  OwnedScheduler(const OwnedScheduler&) = delete;
+  OwnedScheduler& operator=(const OwnedScheduler&) = delete;
+
+  TaskScheduler* get() { return &scheduler_; }
+  /// Resolved compute threads, caller included.
+  size_t num_threads() const { return scheduler_.num_threads(); }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+  TaskScheduler scheduler_;
 };
 
 /// \brief A join handle over independently submitted tasks — the async

@@ -266,12 +266,8 @@ TcpServeStats TcpServer::Run() {
   }
 
   // One scheduler for all in-flight requests, exactly like pipe mode.
-  const size_t num_threads = options_.serve.num_threads == 0
-                                 ? ThreadPool::HardwareConcurrency()
-                                 : options_.serve.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
-  TaskScheduler scheduler(pool.get());
+  OwnedScheduler owned(options_.serve.num_threads);
+  TaskScheduler& scheduler = *owned.get();
   TaskGroup group(&scheduler);
   im.scheduler = &scheduler;
   im.group = &group;

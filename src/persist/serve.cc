@@ -323,12 +323,8 @@ std::string InsightServer::HandleLine(const std::string& line,
 
 ServeStats InsightServer::Serve(std::istream& in, std::ostream& out) {
   Timer timer;
-  const size_t num_threads = options_.num_threads == 0
-                                 ? ThreadPool::HardwareConcurrency()
-                                 : options_.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads - 1);
-  TaskScheduler scheduler(pool.get());
+  OwnedScheduler owned(options_.num_threads);
+  TaskScheduler& scheduler = *owned.get();
   TaskGroup group(&scheduler);
   const size_t max_inflight = options_.max_inflight == 0
                                   ? 2 * scheduler.num_threads()

@@ -31,7 +31,7 @@ struct GraphDelta {
 /// \brief In-memory RDF graph: a dictionary plus an indexed triple set.
 ///
 /// This is the storage substrate every other module builds on (the paper uses
-/// OntoSQL over PostgreSQL; see DESIGN.md S1/S6 for the substitution).
+/// OntoSQL over PostgreSQL; see ARCHITECTURE.md "The columnar store").
 ///
 /// Triples are appended, then the graph is frozen: three sorted permutations
 /// (SPO, POS, OSP) are built so that any triple pattern with at least one

@@ -174,9 +174,100 @@ TEST(SpadeTest, SparqlEmissionRunsOnTheGraph) {
     EXPECT_EQ(rs->rows.size(), insight.ranked.num_groups) << insight.sparql;
     ++validated;
   }
-  // At least the parse side ran for every insight.
+  // Some insight has a single direct dimension and a real measure, so the
+  // SPARQL side actually ran for it.
   EXPECT_FALSE(insights->empty());
-  (void)validated;
+  EXPECT_GT(validated, 0u);
+}
+
+/// The full ranked stream of `insights`: key, score, group count, and every
+/// stored group's dimension values and value, must match `expected`.
+void ExpectSameRanked(const std::vector<Insight>& expected,
+                      const std::vector<Insight>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Arm::Ranked& e = expected[i].ranked;
+    const Arm::Ranked& a = actual[i].ranked;
+    EXPECT_TRUE(e.key == a.key) << "rank " << i;
+    EXPECT_EQ(e.score, a.score) << "rank " << i;
+    EXPECT_EQ(e.num_groups, a.num_groups) << "rank " << i;
+    ASSERT_EQ(e.groups.size(), a.groups.size()) << "rank " << i;
+    for (size_t g = 0; g < e.groups.size(); ++g) {
+      EXPECT_EQ(e.groups[g].dim_values, a.groups[g].dim_values)
+          << "rank " << i << " group " << g;
+      EXPECT_EQ(e.groups[g].value, a.groups[g].value)
+          << "rank " << i << " group " << g;
+    }
+  }
+}
+
+TEST(SpadeTest, ExploreOverAllFactSetsEqualsRunOnline) {
+  // RunOnline() is Explore() over every fact set with the pipeline's own
+  // options: the two must rank the same stream at every thread count, shard
+  // count and early-stop setting.
+  auto graph = GenerateCeos(42, 0.2);
+  for (size_t threads : {1u, 4u}) {
+    for (size_t shards : {1u, 4u}) {
+      for (bool earlystop : {false, true}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " shards=" + std::to_string(shards) +
+                     " earlystop=" + std::to_string(earlystop));
+        SpadeOptions options = SmallOptions();
+        options.num_threads = threads;
+        options.num_shards = shards;
+        options.enable_earlystop = earlystop;
+        Spade spade(graph.get(), options);
+        ASSERT_TRUE(spade.RunOffline().ok());
+        auto online = spade.RunOnline();
+        ASSERT_TRUE(online.ok()) << online.status().ToString();
+        ASSERT_FALSE(online->empty());
+
+        OwnedScheduler scheduler(threads);
+        auto explored = spade.Explore(ExploreRequest{}, scheduler.get());
+        ASSERT_TRUE(explored.ok()) << explored.status().ToString();
+        EXPECT_EQ(explored->num_cfs_explored, spade.fact_sets().size());
+        EXPECT_EQ(explored->num_cfs_completed, spade.report().num_cfs_completed);
+        EXPECT_FALSE(explored->truncated);
+        ExpectSameRanked(*online, explored->insights);
+      }
+    }
+  }
+}
+
+TEST(SpadeTest, RepeatedRunOnlineReportsTheLastRun) {
+  // report() describes the last RunOnline(), not the sum of all of them;
+  // with the incremental cache on, the second run replays every CFS.
+  auto graph = GenerateCeos(42, 0.2);
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "plain");
+    SpadeOptions options = SmallOptions();
+    options.num_threads = 2;
+    options.enable_incremental = incremental;
+    Spade spade(graph.get(), options);
+    ASSERT_TRUE(spade.RunOffline().ok());
+    auto first = spade.RunOnline();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    const SpadeReport once = spade.report();
+    const size_t once_aggregates = spade.arm().num_aggregates();
+    auto second = spade.RunOnline();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    const SpadeReport& twice = spade.report();
+
+    ExpectSameRanked(*first, *second);
+    EXPECT_GT(once.num_evaluated_aggregates, 0u);
+    EXPECT_EQ(once.num_lattices, twice.num_lattices);
+    EXPECT_EQ(once.num_candidate_aggregates, twice.num_candidate_aggregates);
+    EXPECT_EQ(once.num_evaluated_aggregates, twice.num_evaluated_aggregates);
+    EXPECT_EQ(once.num_reused_aggregates, twice.num_reused_aggregates);
+    EXPECT_EQ(once.num_pruned_aggregates, twice.num_pruned_aggregates);
+    EXPECT_EQ(once.num_groups_emitted, twice.num_groups_emitted);
+    EXPECT_EQ(once.num_groups_skipped, twice.num_groups_skipped);
+    EXPECT_EQ(once.num_cfs_completed, twice.num_cfs_completed);
+    EXPECT_EQ(once.shard_fact_counts, twice.shard_fact_counts);
+    EXPECT_EQ(spade.arm().num_aggregates(), once_aggregates);
+    EXPECT_EQ(once.num_cfs_reused, 0u);
+    EXPECT_EQ(twice.num_cfs_reused, incremental ? twice.num_cfs : 0u);
+  }
 }
 
 TEST(SpadeTest, TimingsAreAccounted) {

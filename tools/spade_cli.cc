@@ -42,9 +42,6 @@
 //                        running one online pass; see src/persist/serve.h
 //                        for the request grammar
 //   --serve-requests F   read serve requests from F instead of stdin
-//   --incremental        cache per-CFS online results across `apply`
-//                        mutation batches; CFSs untouched by a delta are
-//                        reused instead of re-evaluated (serve modes)
 //   --read-only          serve modes: refuse the `apply` / `compact`
 //                        mutation verbs
 //   --listen HOST:PORT   serve the same request grammar over TCP instead of
@@ -111,7 +108,7 @@ int Usage() {
                "                 [--json FILE] [--csv FILE]\n"
                "                 [--quiet] [--save-store FILE] "
                "[--no-verify-snapshot] [--serve] [--serve-requests FILE]\n"
-               "                 [--incremental] [--read-only] "
+               "                 [--read-only] "
                "[--listen HOST:PORT] [--max-connections N]\n"
                "                 [--max-inflight N] [--request-timeout-ms MS] "
                "[--idle-timeout-ms MS] [--drain-ms MS]\n"
@@ -264,8 +261,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       serve_requests = v;
-    } else if (arg == "--incremental") {
-      options.enable_incremental = true;
     } else if (arg == "--read-only") {
       read_only = true;
     } else if (arg == "--listen") {
