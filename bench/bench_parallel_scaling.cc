@@ -13,16 +13,16 @@
 //
 // A final section measures the scheduler itself: raw tasks/sec under
 // fine-grained slicing (parents fanning out tiny children) at 1/2/4/8
-// threads — the path the per-worker Chase-Lev deques exist for. External
-// submits go through the injection queue; the children ride each worker's
-// own deque, so the hot loop is PushBottom/PopBottom/Steal.
+// threads. Tasks here are far finer than anything Spade submits, so every
+// push and pop contends on the pool's one queue lock: this is the
+// scheduler's worst case, not a workload.
 //
 // Usage: bench_parallel_scaling [--facts=N] [--types=K] [--json[=FILE]]
 //
 // --json writes every configuration's numbers as a machine-readable JSON
 // array (default file: BENCH_parallel.json) so CI can track the perf
 // trajectory across commits. Scaling records carry online/lattice wall
-// times; deque records ({"config": "deque_fine_grained", ...}) carry
+// times; pool records ({"config": "pool_fine_grained", ...}) carry
 // tasks/sec.
 
 #include <atomic>
@@ -53,14 +53,14 @@ struct RunResult {
 
 std::vector<RunResult> g_results;  // every RunOnce, for --json
 
-struct DequeRecord {
+struct PoolRecord {
   size_t threads = 1;
   size_t tasks = 0;
   double wall_ms = 0;
   double tasks_per_sec = 0;
 };
 
-std::vector<DequeRecord> g_deque_records;
+std::vector<PoolRecord> g_pool_records;
 
 RunResult RunOnce(const char* label, size_t facts, size_t types,
                   size_t threads, size_t shards) {
@@ -121,11 +121,10 @@ void Scale(const char* label, size_t facts, size_t types, size_t shards) {
   std::cout << "\n";
 }
 
-/// Scheduler throughput under fine-grained slicing: parents arrive through
-/// the injection queue, each fans out 7 near-empty children onto its
-/// worker's own deque. Tasks/sec here is the number the Chase-Lev swap
-/// moves — the old single-mutex pool serialized every push and pop.
-void DequeThroughput() {
+/// Scheduler throughput under fine-grained slicing: parents are submitted
+/// from outside the pool, and each fans out 7 near-empty children from
+/// inside it.
+void PoolThroughput() {
   constexpr size_t kParents = 20000;
   constexpr size_t kChildrenPerParent = 7;
   constexpr size_t kTotal = kParents * (1 + kChildrenPerParent);
@@ -148,7 +147,7 @@ void DequeThroughput() {
     while (ran.load(std::memory_order_acquire) < kTotal) {
       std::this_thread::yield();
     }
-    DequeRecord r;
+    PoolRecord r;
     r.threads = threads;
     r.tasks = kTotal;
     r.wall_ms = timer.ElapsedMillis();
@@ -156,7 +155,7 @@ void DequeThroughput() {
     char rate[32];
     std::snprintf(rate, sizeof(rate), "%.0f", r.tasks_per_sec);
     table.AddRow({std::to_string(threads), Ms(r.wall_ms), rate});
-    g_deque_records.push_back(r);
+    g_pool_records.push_back(r);
   }
   table.Print(std::cout);
   std::cout << "\n";
@@ -180,18 +179,18 @@ void WriteJson(const std::string& path) {
         << ", \"lattice_workers\": " << r.lattice_workers
         << ", \"speedup\": " << r.speedup << ", \"num_cfs\": " << r.num_cfs
         << ", \"num_evaluated\": " << r.num_evaluated << "}"
-        << (i + 1 < g_results.size() || !g_deque_records.empty() ? "," : "")
+        << (i + 1 < g_results.size() || !g_pool_records.empty() ? "," : "")
         << "\n";
   }
-  for (size_t i = 0; i < g_deque_records.size(); ++i) {
-    const DequeRecord& r = g_deque_records[i];
-    out << "  {\"config\": \"deque_fine_grained\", \"threads\": " << r.threads
+  for (size_t i = 0; i < g_pool_records.size(); ++i) {
+    const PoolRecord& r = g_pool_records[i];
+    out << "  {\"config\": \"pool_fine_grained\", \"threads\": " << r.threads
         << ", \"tasks\": " << r.tasks << ", \"wall_ms\": " << r.wall_ms
         << ", \"tasks_per_sec\": " << r.tasks_per_sec << "}"
-        << (i + 1 < g_deque_records.size() ? "," : "") << "\n";
+        << (i + 1 < g_pool_records.size() ? "," : "") << "\n";
   }
   out << "]\n";
-  std::cout << "wrote " << g_results.size() + g_deque_records.size()
+  std::cout << "wrote " << g_results.size() + g_pool_records.size()
             << " records to " << path << "\n";
 }
 
@@ -227,8 +226,8 @@ int main(int argc, char** argv) {
   spade::bench::Scale("fig12_single_cfs_sharded", facts, 1, 0);
   // Multi-tenant shape: one ARM shard per CFS, embarrassingly parallel.
   spade::bench::Scale("multi_cfs", facts, types, 1);
-  // Scheduler-only: raw task throughput on the work-stealing deques.
-  spade::bench::DequeThroughput();
+  // Scheduler-only: raw task throughput on the pool's queue.
+  spade::bench::PoolThroughput();
   if (!json_path.empty()) spade::bench::WriteJson(json_path);
   return 0;
 }

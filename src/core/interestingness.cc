@@ -17,6 +17,18 @@ const char* InterestingnessName(InterestingnessKind kind) {
   return "?";
 }
 
+bool ParseInterestingness(const std::string& text, InterestingnessKind* kind) {
+  for (InterestingnessKind k : {InterestingnessKind::kVariance,
+                                InterestingnessKind::kSkewness,
+                                InterestingnessKind::kKurtosis}) {
+    if (text == InterestingnessName(k)) {
+      *kind = k;
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 
 struct Moments {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace spade {
@@ -17,6 +18,8 @@ enum class InterestingnessKind : uint8_t {
 };
 
 const char* InterestingnessName(InterestingnessKind kind);
+/// Exact inverse of InterestingnessName; false on any other input.
+bool ParseInterestingness(const std::string& text, InterestingnessKind* kind);
 
 /// Unbiased sample variance (Eq. 1 of the paper). 0 for fewer than 2 values.
 double Variance(const std::vector<double>& values);

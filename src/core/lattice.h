@@ -623,10 +623,11 @@ void ParallelLatticeRun(const Mmst& mmst, const Translation& data,
     for (double ms : slice_ms) work_ms += ms;
     // Plain assignment throughout: the struct always describes this one run
     // (callers aggregate across runs via EvalStats::MergeLattice).
+    // merge_ms is read first so that merge_ms <= wall_ms always holds.
     stats->num_slices = slices.size();
+    stats->merge_ms = merge_timer.ElapsedMillis();
     stats->wall_ms = wall.ElapsedMillis();
     stats->work_ms = work_ms;
-    stats->merge_ms = merge_timer.ElapsedMillis();
     stats->peak_partial_cells = partial_cells;
   }
 }

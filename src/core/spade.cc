@@ -280,6 +280,7 @@ void Spade::MergeCfsReport(const CfsResult& cfs, SpadeReport* total) {
       std::max(total->lattice_workers_used, stats.lattice_workers_used);
   total->lattice_wall_ms += stats.lattice_wall_ms;
   total->lattice_work_ms += stats.lattice_work_ms;
+  total->lattice_merge_ms += stats.lattice_merge_ms;
   total->lattice_peak_partial_cells = std::max(
       total->lattice_peak_partial_cells, stats.lattice_peak_partial_cells);
   total->peak_bitmap_bytes =

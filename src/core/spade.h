@@ -177,12 +177,13 @@ struct SpadeReport {
   double shard_merge_ms = 0;
   /// Partition-parallel lattice computation (MVDCube path; zero elsewhere):
   /// the largest slice count any lattice ran with (bounded by num_threads
-  /// and by the lattice's partition count), wall / summed-work time of the
-  /// parallel runs, and the peak partial (node, group) cell count. Results
-  /// are identical at every worker count; these report cost and overlap.
+  /// and by the lattice's partition count), wall / summed-work / serial
+  /// merge-and-emit time of the parallel runs, and the peak partial cell
+  /// count. Results are identical at every worker count; these report cost.
   size_t lattice_workers_used = 0;
   double lattice_wall_ms = 0;
   double lattice_work_ms = 0;
+  double lattice_merge_ms = 0;
   uint64_t lattice_peak_partial_cells = 0;
   /// Fact-bitmap bytes of the largest lattice evaluation's emitted group
   /// cells (max over CFSs; the Section 4.3 memory model, measured — a

@@ -75,6 +75,7 @@ void Spade::ResetOnlineState() {
   report_.lattice_workers_used = 0;
   report_.lattice_wall_ms = 0;
   report_.lattice_work_ms = 0;
+  report_.lattice_merge_ms = 0;
   report_.lattice_peak_partial_cells = 0;
   report_.peak_bitmap_bytes = 0;
   report_.truncated = false;

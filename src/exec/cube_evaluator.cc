@@ -25,6 +25,21 @@ const char* EvalAlgorithmName(EvalAlgorithm algo) {
   return "?";
 }
 
+bool ParseEvalAlgorithm(const std::string& text, EvalAlgorithm* algo) {
+  if (text == "mvdcube") {
+    *algo = EvalAlgorithm::kMvdCube;
+  } else if (text == "pgcube") {
+    *algo = EvalAlgorithm::kPgCubeStar;
+  } else if (text == "pgcube-distinct") {
+    *algo = EvalAlgorithm::kPgCubeDistinct;
+  } else if (text == "arraycube") {
+    *algo = EvalAlgorithm::kArrayCube;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 void CubeEvaluator::Prepare(const CubeEvalInputs& /*in*/, const Arm& /*arm*/,
                             TaskScheduler* /*scheduler*/, EvalStats* /*stats*/) {}
 

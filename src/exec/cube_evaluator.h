@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/core/arm.h"
@@ -25,6 +26,9 @@ enum class EvalAlgorithm : uint8_t {
 };
 
 const char* EvalAlgorithmName(EvalAlgorithm algo);
+/// Parse "mvdcube" / "pgcube" / "pgcube-distinct" / "arraycube" (exact match;
+/// not the display names above). Returns false on any other input.
+bool ParseEvalAlgorithm(const std::string& text, EvalAlgorithm* algo);
 
 /// Evaluation knobs shared by every cube algorithm; Spade builds this from
 /// SpadeOptions so the exec layer never depends on the pipeline header.
@@ -76,11 +80,13 @@ struct EvalStats {
   /// Partition-parallel lattice computation (MVDCube path; zero elsewhere):
   /// partition slices actually used (max over lattices — small lattices may
   /// have fewer partitions than workers), wall-clock and summed per-worker
-  /// work time of the parallel runs, and the peak count of partial
+  /// work time of the parallel runs, the single-threaded partial merge and
+  /// canonical emit inside that wall, and the peak count of partial
   /// (node, group) cells held before the canonical merge.
   size_t lattice_workers_used = 0;
   double lattice_wall_ms = 0;
   double lattice_work_ms = 0;
+  double lattice_merge_ms = 0;
   uint64_t lattice_peak_partial_cells = 0;
   /// Fact-bitmap bytes of the largest single lattice evaluation's emitted
   /// group cells (MVDCube path; zero elsewhere) — the Section 4.3 memory
@@ -102,6 +108,7 @@ struct EvalStats {
     lattice_workers_used = std::max(lattice_workers_used, ls.num_slices);
     lattice_wall_ms += ls.wall_ms;
     lattice_work_ms += ls.work_ms;
+    lattice_merge_ms += ls.merge_ms;
     lattice_peak_partial_cells =
         std::max(lattice_peak_partial_cells, ls.peak_partial_cells);
   }

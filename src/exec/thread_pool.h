@@ -1,7 +1,6 @@
 #ifndef SPADE_EXEC_THREAD_POOL_H_
 #define SPADE_EXEC_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -10,33 +9,23 @@
 #include <thread>
 #include <vector>
 
-#include "src/exec/work_deque.h"
 #include "src/util/cancel.h"
 
 namespace spade {
 
-/// \brief Fixed-size worker pool over per-worker Chase–Lev lock-free deques.
+/// \brief Fixed-size worker pool over one mutex-guarded FIFO queue.
 ///
-/// Every worker owns one WorkStealingDeque. A task submitted FROM a pool
-/// worker (nested ParallelFor helpers, TaskGroup fan-out from inside a
-/// task) is pushed lock-free onto that worker's own deque — the
-/// overwhelmingly common case once lattice slices, ingest chunks, and fold
-/// tasks nest. External threads (the caller driving the pipeline) submit
-/// through a small mutex-guarded injection queue. An idle worker pops its
-/// own deque LIFO, then takes from the injection queue, then steals FIFO
-/// from the other workers' deques — no global lock anywhere on the
-/// task-transfer path (the old pool serialized every push, pop, and steal
-/// on one mutex).
+/// Submit locks, pushes and unlocks, then wakes one worker. A worker pops
+/// under the lock and runs the task outside it. Spade's parallelism is
+/// coarse (fact sets, lattice slices, fact shards): a serving or churn
+/// workload submits on the order of 10^3 tasks per second, far below what
+/// one queue lock sustains, so per-worker lock-free deques measured no
+/// better here and were removed (ARCHITECTURE.md, "Scheduling").
 ///
-/// Sleep/wake uses the enqueue-then-lock-then-notify protocol: a submitter
-/// enqueues, then acquires the sleep mutex (empty critical section) and
-/// notifies. A worker only blocks after re-checking, under that mutex, that
-/// every queue looks empty — so either the worker's check sees the enqueue
-/// (mutex ordering) or the submitter's notify reaches the worker's wait.
-///
-/// The destructor drains every queued task before joining (a task submitted
-/// is a task run, including tasks submitted by running tasks), so
-/// fire-and-forget submissions never leak work.
+/// The destructor drains before joining: a task submitted is a task run,
+/// including tasks submitted by running tasks. A worker exits only once stop
+/// is set, the queue is empty AND no task is running, since a running task
+/// may still submit, and may block on what it submitted.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -55,24 +44,13 @@ class ThreadPool {
   static size_t HardwareConcurrency();
 
  private:
-  void WorkerLoop(size_t index);
-  /// Own deque -> injection queue -> steal sweep. Null when nothing found.
-  WorkStealingDeque::Task* TryAcquire(size_t index);
-  /// Accurate for every task enqueued before the call (used under
-  /// sleep_mutex_ to decide blocking).
-  bool HasQueuedWork();
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
-  std::mutex inject_mutex_;
-  std::deque<WorkStealingDeque::Task*> injection_;  // guarded by inject_mutex_
-
-  /// Tasks enqueued but not yet finished running. Workers may only exit
-  /// when stop_ is set AND this is zero — tasks spawned by running tasks
-  /// keep the pool alive until the whole chain drains.
-  std::atomic<size_t> pending_{0};
-  std::atomic<bool> stop_{false};
-  std::mutex sleep_mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;  // guarded by mutex_
+  size_t running_ = 0;                       // guarded by mutex_
+  bool stop_ = false;                        // guarded by mutex_
   std::vector<std::thread> workers_;
 };
 

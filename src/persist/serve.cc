@@ -57,29 +57,19 @@ std::string ApplyToken(const std::string& token, ExploreRequest* req) {
     return "";
   }
   if (key == "interestingness") {
-    if (value == "variance") {
-      req->interestingness = InterestingnessKind::kVariance;
-    } else if (value == "skewness") {
-      req->interestingness = InterestingnessKind::kSkewness;
-    } else if (value == "kurtosis") {
-      req->interestingness = InterestingnessKind::kKurtosis;
-    } else {
+    InterestingnessKind kind;
+    if (!ParseInterestingness(value, &kind)) {
       return "unknown interestingness '" + value + "'";
     }
+    req->interestingness = kind;
     return "";
   }
   if (key == "algorithm") {
-    if (value == "mvdcube") {
-      req->algorithm = EvalAlgorithm::kMvdCube;
-    } else if (value == "pgcube") {
-      req->algorithm = EvalAlgorithm::kPgCubeStar;
-    } else if (value == "pgcube-distinct") {
-      req->algorithm = EvalAlgorithm::kPgCubeDistinct;
-    } else if (value == "arraycube") {
-      req->algorithm = EvalAlgorithm::kArrayCube;
-    } else {
+    EvalAlgorithm algo;
+    if (!ParseEvalAlgorithm(value, &algo)) {
       return "unknown algorithm '" + value + "'";
     }
+    req->algorithm = algo;
     return "";
   }
   if (key == "earlystop") {

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/mvdcube.h"
@@ -41,8 +45,8 @@ TEST(ThreadPoolTest, HardwareConcurrencyIsPositive) {
 }
 
 TEST(ThreadPoolTest, TasksSubmittedByTasksAreDrainedBeforeDestruction) {
-  // Nested submissions land on the submitting worker's own deque; the
-  // destructor's drain contract has to cover the whole spawn chain.
+  // The destructor's drain contract has to cover the whole spawn chain,
+  // not only the tasks queued when it starts.
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
@@ -56,95 +60,32 @@ TEST(ThreadPoolTest, TasksSubmittedByTasksAreDrainedBeforeDestruction) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-// --- WorkStealingDeque (Chase-Lev) ----------------------------------------
-
-TEST(WorkDequeTest, OwnerPopsLifoThievesStealFifo) {
-  WorkStealingDeque dq;
-  auto* a = new WorkStealingDeque::Task([] {});
-  auto* b = new WorkStealingDeque::Task([] {});
-  auto* c = new WorkStealingDeque::Task([] {});
-  dq.PushBottom(a);
-  dq.PushBottom(b);
-  dq.PushBottom(c);
-  EXPECT_FALSE(dq.EmptyHint());
-  EXPECT_EQ(dq.Steal(), a);      // oldest first
-  EXPECT_EQ(dq.PopBottom(), c);  // newest first
-  EXPECT_EQ(dq.PopBottom(), b);
-  EXPECT_EQ(dq.PopBottom(), nullptr);
-  EXPECT_EQ(dq.Steal(), nullptr);
-  EXPECT_TRUE(dq.EmptyHint());
-  delete a;
-  delete b;
-  delete c;
-}
-
-TEST(WorkDequeTest, GrowsPastInitialCapacityPreservingOrder) {
-  WorkStealingDeque dq(/*initial_capacity=*/2);
-  std::vector<WorkStealingDeque::Task*> tasks;
-  for (int i = 0; i < 300; ++i) {
-    tasks.push_back(new WorkStealingDeque::Task([] {}));
-    dq.PushBottom(tasks.back());
-  }
-  for (int i = 0; i < 150; ++i) {  // FIFO from the top
-    EXPECT_EQ(dq.Steal(), tasks[i]) << i;
-  }
-  for (int i = 299; i >= 150; --i) {  // LIFO from the bottom
-    EXPECT_EQ(dq.PopBottom(), tasks[i]) << i;
-  }
-  EXPECT_EQ(dq.PopBottom(), nullptr);
-  for (auto* t : tasks) delete t;
-}
-
-TEST(WorkDequeTest, ConcurrentStealsLoseNothingDuplicateNothing) {
-  // One owner pushes and pops; several thieves hammer Steal. Every task
-  // must be claimed exactly once across all parties. (Run under TSan in CI,
-  // this is also the memory-model check on the fence-free mapping.)
-  constexpr int kTasks = 20000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque dq(/*initial_capacity=*/4);
-  std::vector<std::atomic<int>> claimed(kTasks);
-  for (auto& c : claimed) c.store(0);
-  std::atomic<int> remaining{kTasks};
-  std::atomic<bool> done{false};
-  auto claim = [&](WorkStealingDeque::Task* t) {
-    if (t == nullptr) return;
-    (*t)();
-    delete t;
-    remaining.fetch_sub(1);
-  };
-  std::vector<std::thread> thieves;
-  for (int th = 0; th < kThieves; ++th) {
-    thieves.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) claim(dq.Steal());
-    });
-  }
-  // Owner: pushes in bursts, popping some of its own work in between.
-  for (int i = 0; i < kTasks; ++i) {
-    dq.PushBottom(new WorkStealingDeque::Task(
-        [&claimed, i] { claimed[i].fetch_add(1); }));
-    if (i % 3 == 0) claim(dq.PopBottom());
-  }
-  while (remaining.load() > 0) {
-    WorkStealingDeque::Task* t = dq.PopBottom();
-    if (t == nullptr && dq.EmptyHint()) {
-      std::this_thread::yield();  // thieves still finishing their claims
+TEST(ThreadPoolTest, DestructionWaitsForATaskBlockedOnItsOwnChild) {
+  // The drain contract's hard case: when the destructor runs, the queue is
+  // empty but one task is still running, and that task is about to submit a
+  // child and block on it. A worker that exits at "stop and queue empty"
+  // leaves the child unrun and hangs the destructor; workers must also wait
+  // for running tasks to finish. The failure mode is a hang.
+  for (int rep = 0; rep < 200; ++rep) {
+    std::promise<void> child_done;  // outlives the pool, so the child's
+                                    // set_value never races its destruction
+    {
+      ThreadPool pool(2);
+      pool.Submit([&pool, &child_done] {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::future<void> child = child_done.get_future();
+        pool.Submit([&child_done] { child_done.set_value(); });
+        child.wait();
+      });
     }
-    claim(t);
   }
-  done.store(true, std::memory_order_release);
-  for (auto& th : thieves) th.join();
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(claimed[i].load(), 1) << "task " << i;
-  }
-  EXPECT_TRUE(dq.EmptyHint());
 }
 
-TEST(ThreadPoolStressTest, StealHeavyFineGrainedTasksAllRunExactlyOnce) {
-  // Steal-heavy by construction: every task is submitted from the external
-  // thread through the injection queue, and each one immediately spawns
-  // tiny children onto its worker's own deque — idle workers must live off
-  // stealing. Microsecond-scale bodies keep the deques churning. (The TSan
-  // CI job runs this; it is the data-race check on the lock-free pool.)
+TEST(ThreadPoolStressTest, NestedFineGrainedTasksAllRunExactlyOnce) {
+  // Every task is submitted from the external thread, and each one
+  // immediately submits tiny children from inside the pool, so submits and
+  // pops from all sides contend on the queue. (The TSan CI job repeats
+  // this; it is the data-race check on the pool.)
   constexpr int kRounds = 200;
   constexpr int kChildren = 16;
   std::vector<std::atomic<int>> hits(kRounds * kChildren);
@@ -168,7 +109,7 @@ TEST(ThreadPoolStressTest, StealHeavyFineGrainedTasksAllRunExactlyOnce) {
 
 TEST(ThreadPoolStressTest, ParallelForUnderContention) {
   // Many short ParallelFor rounds on a pool bigger than the work: workers
-  // spend most of their time in the sleep/steal protocol, the regression
+  // spend most of their time going to sleep and being woken, the regression
   // surface for lost-wakeup bugs (a hang here is the failure mode).
   ThreadPool pool(8);
   TaskScheduler scheduler(&pool);
@@ -236,6 +177,21 @@ TEST(CubeEvaluatorTest, FactoryCoversEveryAlgorithm) {
     ASSERT_NE(evaluator, nullptr);
     EXPECT_STREQ(evaluator->name(), EvalAlgorithmName(algo));
   }
+  // The --algorithm / serve grammar: every accepted spelling, one rejection
+  // (display names are not accepted).
+  const std::pair<const char*, EvalAlgorithm> spellings[] = {
+      {"mvdcube", EvalAlgorithm::kMvdCube},
+      {"pgcube", EvalAlgorithm::kPgCubeStar},
+      {"pgcube-distinct", EvalAlgorithm::kPgCubeDistinct},
+      {"arraycube", EvalAlgorithm::kArrayCube}};
+  for (const auto& [text, want] : spellings) {
+    EvalAlgorithm got = EvalAlgorithm::kMvdCube;
+    ASSERT_TRUE(ParseEvalAlgorithm(text, &got)) << text;
+    EXPECT_EQ(got, want) << text;
+  }
+  EvalAlgorithm algo = EvalAlgorithm::kArrayCube;
+  EXPECT_FALSE(ParseEvalAlgorithm("MVDCube", &algo));
+  EXPECT_EQ(algo, EvalAlgorithm::kArrayCube);
 }
 
 // --- Pipeline determinism across thread counts ----------------------------
@@ -539,6 +495,9 @@ TEST(LatticeParallelPipelineTest, LatticeStatsReported) {
   EXPECT_GT(out.report.lattice_peak_partial_cells, 0u);
   EXPECT_GE(out.report.lattice_wall_ms, 0.0);
   EXPECT_GE(out.report.lattice_work_ms, 0.0);
+  // The serial merge + canonical emit is part of every lattice's wall.
+  EXPECT_GT(out.report.lattice_merge_ms, 0.0);
+  EXPECT_LE(out.report.lattice_merge_ms, out.report.lattice_wall_ms);
 }
 
 // --- ARM stream vs bitmap-free reference -----------------------------------

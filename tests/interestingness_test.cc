@@ -65,6 +65,18 @@ TEST(InterestingnessTest, Names) {
   EXPECT_STREQ(InterestingnessName(InterestingnessKind::kVariance), "variance");
   EXPECT_STREQ(InterestingnessName(InterestingnessKind::kSkewness), "skewness");
   EXPECT_STREQ(InterestingnessName(InterestingnessKind::kKurtosis), "kurtosis");
+  // The parser accepts exactly the names above and leaves `kind` alone on a
+  // rejection.
+  for (InterestingnessKind want :
+       {InterestingnessKind::kVariance, InterestingnessKind::kSkewness,
+        InterestingnessKind::kKurtosis}) {
+    InterestingnessKind got = InterestingnessKind::kVariance;
+    ASSERT_TRUE(ParseInterestingness(InterestingnessName(want), &got));
+    EXPECT_EQ(got, want);
+  }
+  InterestingnessKind kind = InterestingnessKind::kSkewness;
+  EXPECT_FALSE(ParseInterestingness("Variance", &kind));
+  EXPECT_EQ(kind, InterestingnessKind::kSkewness);
 }
 
 // Gradients checked against central finite differences.

@@ -158,28 +158,14 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       std::string name = spade::ToLower(v);
-      if (name == "variance") {
-        options.interestingness = spade::InterestingnessKind::kVariance;
-      } else if (name == "skewness") {
-        options.interestingness = spade::InterestingnessKind::kSkewness;
-      } else if (name == "kurtosis") {
-        options.interestingness = spade::InterestingnessKind::kKurtosis;
-      } else {
+      if (!spade::ParseInterestingness(name, &options.interestingness)) {
         return Fail("unknown interestingness '" + name + "'");
       }
     } else if (arg == "--algorithm") {
       const char* v = next();
       if (v == nullptr) return Usage();
       std::string name = spade::ToLower(v);
-      if (name == "mvdcube") {
-        options.algorithm = spade::EvalAlgorithm::kMvdCube;
-      } else if (name == "pgcube") {
-        options.algorithm = spade::EvalAlgorithm::kPgCubeStar;
-      } else if (name == "pgcube-distinct") {
-        options.algorithm = spade::EvalAlgorithm::kPgCubeDistinct;
-      } else if (name == "arraycube") {
-        options.algorithm = spade::EvalAlgorithm::kArrayCube;
-      } else {
+      if (!spade::ParseEvalAlgorithm(name, &options.algorithm)) {
         return Fail("unknown algorithm '" + name + "'");
       }
     } else if (arg == "--threads") {
@@ -489,6 +475,8 @@ int main(int argc, char** argv) {
               << " worker" << (report.lattice_workers_used == 1 ? "" : "s")
               << ", wall " << spade::FormatDouble(report.lattice_wall_ms, 1)
               << " ms (work " << spade::FormatDouble(report.lattice_work_ms, 1)
+              << " ms, merge "
+              << spade::FormatDouble(report.lattice_merge_ms, 1)
               << " ms, peak " << report.lattice_peak_partial_cells
               << " partial cells, peak bitmaps " << report.peak_bitmap_bytes
               << " B)";
