@@ -6,9 +6,9 @@
 //
 //   rebuild      re-intern the whole mutated triple set into a fresh graph,
 //                RunOffline + RunOnline from scratch
-//   incremental  ApplyDelta (merge touched attribute tables, re-derive,
-//                revalidate the per-CFS cache) + RunOnline reusing every
-//                clean CFS's cached shard
+//   incremental  ApplyDelta (merge touched attribute tables, re-derive
+//                what read them, revalidate the per-CFS cache) + RunOnline
+//                reusing every clean CFS's cached shard
 //
 // Mutation batches are value churn (retract a measure triple, add a
 // replacement) drawn from a contiguous hot range of facts — updates cluster
@@ -204,6 +204,8 @@ struct DeltaRow {
   double speedup = 0;
   size_t cfs_total = 0;
   size_t cfs_reused = 0;
+  bool fact_sets_kept = false;  ///< the apply kept the summary and fact sets
+  size_t derived_reused = 0;    ///< derived attributes copied, not re-derived
   bool identical = false;
 };
 
@@ -246,6 +248,8 @@ DeltaRow RunRate(const LSet& base, double rate, size_t threads,
     }
     row.cfs_total = delta.num_cfs;
     row.cfs_reused = delta.num_cfs_reused;
+    row.fact_sets_kept = delta.fact_sets_kept;
+    row.derived_reused = delta.num_derived_reused;
   }
   {
     Timer t;
@@ -292,6 +296,8 @@ void WriteJson(const std::string& path, size_t facts, size_t types,
         << ", \"speedup\": " << r.speedup
         << ", \"cfs_total\": " << r.cfs_total
         << ", \"cfs_reused\": " << r.cfs_reused
+        << ", \"fact_sets_kept\": " << (r.fact_sets_kept ? "true" : "false")
+        << ", \"derived_reused\": " << r.derived_reused
         << ", \"identical_insights\": " << (r.identical ? "true" : "false")
         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/core/mfs.h"
+#include "src/util/string_util.h"
 
 namespace spade {
 
@@ -19,6 +20,16 @@ bool DerivationConflict(const AttributeStore& db, AttrId a, AttrId b) {
 }
 
 }  // namespace
+
+bool ParseMaxDims(std::string_view text, size_t* out) {
+  int64_t n = 0;
+  if (!ParseInt64(text, &n) || n < static_cast<int64_t>(kMinLatticeDims) ||
+      n > static_cast<int64_t>(kMaxLatticeDims)) {
+    return false;
+  }
+  *out = static_cast<size_t>(n);
+  return true;
+}
 
 CfsAnalysis AnalyzeAttributes(const AttributeStore& db, const CfsIndex& cfs,
                               const std::vector<AttrStats>& offline,

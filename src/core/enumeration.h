@@ -1,6 +1,7 @@
 #ifndef SPADE_CORE_ENUMERATION_H_
 #define SPADE_CORE_ENUMERATION_H_
 
+#include <string_view>
 #include <vector>
 
 #include "src/core/aggregate.h"
@@ -8,6 +9,17 @@
 #include "src/store/attribute_store.h"
 
 namespace spade {
+
+/// The lattice dimensionality every front end accepts for
+/// EnumerationOptions::max_dims. Readability peaks at 1-4 dimensions (rule
+/// (b-i)), and a lattice over N dimensions has 2^N nodes, so an unchecked
+/// request can run for minutes.
+constexpr size_t kMinLatticeDims = 1;
+constexpr size_t kMaxLatticeDims = 4;
+
+/// Parse a max_dims value: true iff `text` is an integer in
+/// [kMinLatticeDims, kMaxLatticeDims].
+bool ParseMaxDims(std::string_view text, size_t* out);
 
 /// Rules of Aggregate Enumeration (Section 3, step 3).
 struct EnumerationOptions {

@@ -50,6 +50,7 @@ Status Spade::BuildOfflineSequential() {
 
   if (options_.enable_derivations) {
     report_.derivations = DeriveAll(db_.get(), offline_stats_, options_.derivation);
+    derivations_own_ = true;
     // Analyze the derived attributes as well: the pipeline needs their kinds
     // and bounds (enumeration, early-stop min/max CIs).
     for (AttrId a = static_cast<AttrId>(offline_stats_.size());
@@ -117,6 +118,7 @@ Status Spade::RunOffline(TripleChunkSource* source) {
   Timer timer;
   if (options_.enable_derivations) {
     report_.derivations = DeriveAll(db_.get(), offline_stats_, options_.derivation);
+    derivations_own_ = true;
     // Analyze the derived attributes as well (the pipeline needs their kinds
     // and bounds) — fanned out per attribute; values are identical to the
     // sequential loop's.
@@ -141,6 +143,7 @@ Status Spade::LoadStore(const std::string& path) {
   SPADE_RETURN_NOT_OK(reader->Load(graph_, &db_, &summary_, &offline_stats_,
                                    &loaded_sets, &meta));
   summary_dirty_ = false;
+  derivations_own_ = false;
   snapshot_ = std::move(reader);  // keep the mapping alive for the attachments
   report_.num_triples = static_cast<size_t>(meta.num_triples);
   report_.num_direct_properties =

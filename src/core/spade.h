@@ -105,7 +105,8 @@ struct SpadeOptions {
 };
 
 /// What one ApplyDelta() batch did (the serve mode's `apply` verb reports
-/// these counts verbatim; all deterministic, no timings except apply_ms).
+/// the batch and cache counts verbatim; all deterministic, no timings
+/// except apply_ms).
 struct DeltaReport {
   size_t num_added = 0;          ///< net-new triples
   size_t num_removed = 0;        ///< net-removed triples
@@ -114,6 +115,12 @@ struct DeltaReport {
   size_t num_attrs_changed = 0;  ///< attribute tables created/modified/dropped
   size_t num_cfs = 0;            ///< fact sets selected after the delta
   size_t num_cfs_reused = 0;     ///< cache entries still valid (clean CFSs)
+  /// Derived attributes taken over from the previous store because the
+  /// delta left their sources untouched (table and statistics copied).
+  size_t num_derived_reused = 0;
+  /// The delta only changed literal values, so the structural summary and
+  /// the fact-set selection were kept instead of rebuilt.
+  bool fact_sets_kept = false;
   double apply_ms = 0;           ///< wall-clock of the whole apply
 };
 
@@ -299,15 +306,17 @@ class Spade {
   /// present triple, retracting an absent one) are counted, not errors.
   ///
   /// The mutated state is staged beside the live one (new permutations, new
-  /// attribute tables merged base+delta, new statistics) and committed with
-  /// nothing but noexcept swaps, so any staging failure — including the
+  /// attribute tables merged base+delta, new statistics; derived attributes
+  /// whose sources are untouched are copied, not re-derived) and committed
+  /// with nothing but noexcept swaps, so any staging failure — including the
   /// `delta.apply` failpoint — leaves the pipeline exactly as it was. After
-  /// the commit the structural summary and CFS selection are rebuilt and the
-  /// incremental cache is revalidated: entries whose member lists and
-  /// supported attributes are untouched survive (retagged to the new ids),
-  /// everything else is dropped for re-evaluation. Online results/counters
-  /// are reset; run RunOnline() again for fresh insights. Requires
-  /// RunOffline() first; not supported with RDFS saturation.
+  /// the commit the structural summary and CFS selection are rebuilt, unless
+  /// the delta only replaced literal values of existing (subject, property)
+  /// pairs, and the incremental cache is revalidated: entries whose member
+  /// lists and supported attributes are untouched survive (retagged to the
+  /// new ids), everything else is dropped for re-evaluation. Online
+  /// results/counters are reset; run RunOnline() again for fresh insights.
+  /// Requires RunOffline() first; not supported with RDFS saturation.
   Status ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
                     DeltaReport* out = nullptr);
 
@@ -338,10 +347,11 @@ class Spade {
   const std::vector<CandidateFactSet>& fact_sets() const { return fact_sets_; }
   const Arm& arm() const { return *arm_; }
   const std::vector<AttrStats>& offline_stats() const { return offline_stats_; }
-  /// The structural summary of the current graph. After ApplyDelta the
-  /// rebuild is deferred (nothing on the delta path reads it unless CFS
-  /// selection is summary-based); this accessor rebuilds on demand. Not safe
-  /// concurrently with explores — call from mutation/setup paths only.
+  /// The structural summary of the current graph. A delta that changes
+  /// only literal values keeps it; any other delta marks it stale, and it is
+  /// rebuilt by summary-based CFS selection (the default) or on demand by
+  /// this accessor. Not safe concurrently with explores — call from
+  /// mutation/setup paths only.
   const StructuralSummary& summary() const {
     EnsureSummary();
     return summary_;
@@ -443,9 +453,9 @@ class Spade {
   /// SaveStore(options_.save_store) if configured, else a no-op.
   Status MaybeSaveStore();
 
-  /// Rebuild summary_ if a delta invalidated it (lazy: a mutation batch
-  /// only pays for the O(num_triples) summary walk when something actually
-  /// reads the summary afterwards).
+  /// Rebuild summary_ if a delta invalidated it (lazy: a batch that changes
+  /// the graph's shape pays for the O(num_triples) summary walk only when
+  /// something reads the summary afterwards — summary-based selection does).
   void EnsureSummary() const;
 
   Graph* graph_;
@@ -453,6 +463,10 @@ class Spade {
   std::unique_ptr<AttributeStore> db_;
   mutable StructuralSummary summary_;
   mutable bool summary_dirty_ = false;
+  /// db_'s derived tables came from DeriveAll under options_.derivation, so
+  /// ApplyDelta may reuse their outcomes. False after a snapshot attach: a
+  /// snapshot does not record the options its derivations ran under.
+  bool derivations_own_ = false;
   std::vector<AttrStats> offline_stats_;
   std::vector<CandidateFactSet> fact_sets_;
   std::unique_ptr<Arm> arm_;

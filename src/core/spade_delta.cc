@@ -8,8 +8,9 @@
 /// and commit, and the commit itself is nothing but noexcept swaps — so a
 /// failure anywhere leaves the pipeline exactly as it was (dictionary
 /// interning excepted, which is append-only and invisible). The post-commit
-/// rebuild (summary, CFS selection, cache retag) is guarded: a failure
-/// there drops the caches but the store stays fully readable.
+/// rebuild (summary and CFS selection unless the delta only changed
+/// literal values, cache retag) is guarded: a failure there drops the
+/// caches but the store stays fully readable.
 
 #include <algorithm>
 #include <map>
@@ -41,6 +42,40 @@ Status DrainDelta(TripleChunkSource* source, std::vector<Triple>* out) {
     out->insert(out->end(), chunk.begin(), chunk.end());
   }
   return Status::OK();
+}
+
+/// True if (s, p) has a value in the SPO-sorted `spo`.
+bool HasValue(Span<Triple> spo, TermId s, TermId p) {
+  auto it = std::lower_bound(
+      spo.begin(), spo.end(), std::make_pair(s, p),
+      [](const Triple& t, const std::pair<TermId, TermId>& key) {
+        return t.s != key.first ? t.s < key.first : t.p < key.second;
+      });
+  return it != spo.end() && it->s == s && it->p == p;
+}
+
+/// True if the staged delta only changes literal values: every net added or
+/// removed triple has a literal object and a property other than rdf:type,
+/// every added (s, p) already had a value, and every removed (s, p) keeps
+/// one. The weak summary is built from (s, p) pairs and non-literal (o, p)
+/// pairs (literals are not summary nodes), type-based fact sets from
+/// rdf:type triples and property-based ones from (s, p) pairs, so such a
+/// delta leaves the summary and the fact-set selection as they are.
+/// O(|delta| log n).
+bool KeepsShape(const Graph& live, const GraphDelta& staged) {
+  const Dictionary& dict = live.dict();
+  auto value_only = [&](const Triple& t) {
+    return t.p != live.rdf_type() && dict.KindOf(t.o) == TermKind::kLiteral;
+  };
+  for (const Triple& t : staged.added) {
+    if (!value_only(t) || !HasValue(live.triples(), t.s, t.p)) return false;
+  }
+  for (const Triple& t : staged.removed) {
+    if (!value_only(t) || !HasValue(Span<Triple>(staged.spo), t.s, t.p)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// True if any of `subjects` (ascending) appears in `members` (ascending).
@@ -117,6 +152,9 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
   const size_t num_removed = staged.removed.size();
   const size_t noop_adds = staged.noop_adds;
   const size_t noop_retracts = staged.noop_retracts;
+  // A value-only delta keeps the summary and the selected fact sets.
+  const bool shape_kept = KeepsShape(*graph_, staged);
+  const bool fact_sets_kept = shape_kept && fact_sets_ready_;
 
   // 3. Per-property row deltas.
   TripleDeltaByProperty grouped =
@@ -127,10 +165,15 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
   // cheap) and statistics; touched ones merge base+delta and recompute.
   // Names are reset before registration so collision suffixes recompute
   // exactly as a fresh sequential build over the mutated graph would.
+  // `reuse.previous_id` records, per staged attribute, the live table it is
+  // a copy of (kInvalidAttr for a rebuilt one); derivations extend it.
   auto new_db = std::make_unique<AttributeStore>(graph_);
   std::vector<AttrStats> new_stats;
   DerivationReport new_derivations;
+  DerivationReuse reuse;
+  reuse.previous = db_.get();
   size_t num_direct = 0;
+  size_t num_derived_reused = 0;
   {
     std::unordered_map<TermId, AttrId> old_direct;
     for (AttrId a = 0; a < db_->num_attributes(); ++a) {
@@ -156,10 +199,10 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
       auto old_it = old_direct.find(p);
       auto touch_it = touched.find(p);
       AttributeTable table;
-      bool reused_stats = false;
+      AttrId copied_from = kInvalidAttr;
       if (touch_it == touched.end() && old_it != old_direct.end()) {
         table = db_->attribute(old_it->second);
-        reused_stats = old_it->second < offline_stats_.size();
+        copied_from = old_it->second;
       } else {
         const AttributeTable* base = old_it == old_direct.end()
                                          ? nullptr
@@ -174,8 +217,9 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
       table.origin = AttrOrigin::kDirect;
       table.property = p;
       const AttrId id = new_db->AddAttribute(std::move(table));
-      if (reused_stats) {
-        new_stats.push_back(offline_stats_[old_it->second]);
+      reuse.previous_id.push_back(copied_from);
+      if (copied_from != kInvalidAttr && copied_from < offline_stats_.size()) {
+        new_stats.push_back(offline_stats_[copied_from]);
       } else {
         new_stats.push_back(ComputeAttrStats(*new_db, id));
       }
@@ -183,19 +227,33 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
     num_direct = new_db->num_attributes();
     if (options_.enable_derivations) {
       // Derivations intern counts/keywords/languages into the live (shared)
-      // dictionary — append-only, so still commit-safe.
-      new_derivations =
-          DeriveAll(new_db.get(), new_stats, options_.derivation);
+      // dictionary — append-only, so still commit-safe. The live store's
+      // derived tables are the previous pass's outcomes only if this
+      // pipeline derived them; a snapshot does not record the options its
+      // derivations ran under, so the first delta after an attach derives
+      // everything.
+      new_derivations = DeriveAll(new_db.get(), new_stats,
+                                  options_.derivation,
+                                  derivations_own_ ? &reuse : nullptr);
+      reuse.previous_id.resize(new_db->num_attributes(), kInvalidAttr);
       for (AttrId a = static_cast<AttrId>(new_stats.size());
            a < new_db->num_attributes(); ++a) {
-        new_stats.push_back(ComputeAttrStats(*new_db, a));
+        const AttrId was = reuse.previous_id[a];
+        if (was != kInvalidAttr && was < offline_stats_.size()) {
+          new_stats.push_back(offline_stats_[was]);
+          ++num_derived_reused;
+        } else {
+          new_stats.push_back(ComputeAttrStats(*new_db, a));
+        }
       }
     }
   }
 
   // 5. Changed-attribute detection by name + column comparison between the
   // live and staged stores. Exact for every origin (a derived attribute
-  // whose source changed compares unequal) with no dependency tracking.
+  // whose source changed compares unequal) with no dependency tracking. A
+  // staged table copied from the live table of the same name is equal by
+  // construction and skips the comparison.
   std::unordered_map<std::string, AttrId> new_by_name;
   for (AttrId a = 0; a < new_db->num_attributes(); ++a) {
     new_by_name.emplace(new_db->attribute(a).name, a);
@@ -212,6 +270,7 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
       continue;
     }
     attr_map[a] = it->second;
+    if (reuse.previous_id[it->second] == a) continue;
     const AttributeTable& new_t = new_db->attribute(it->second);
     if (!SameColumns(old_t, new_t)) {
       ++num_attrs_changed;
@@ -254,18 +313,22 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
   report_.num_triples = graph_->NumTriples();
   report_.num_direct_properties = num_direct;
   report_.derivations = new_derivations;
+  derivations_own_ = true;
   ++num_deltas_applied_;
   ResetOnlineState();
 
-  // 7. Post-commit rebuild: CFS selection needs the committed graph. The
-  // structural summary is invalidated, not rebuilt — an O(num_triples) walk
-  // the delta path defers until something reads the summary (snapshot save,
-  // summary-based selection, the accessor). A failure here costs the
+  // 7. Post-commit: a value-only delta keeps the summary and the fact sets
+  // (KeepsShape). Any other delta marks the summary stale and reselects;
+  // summary-based selection (the default) rebuilds the summary right here,
+  // other selections leave the O(num_triples) walk to whatever reads the
+  // summary next (snapshot save, the accessor). A failure here costs the
   // caches, never the store's readability.
-  summary_dirty_ = true;
   Status post = Status::OK();
   try {
-    fact_sets_ready_ = false;
+    if (!shape_kept) {
+      summary_dirty_ = true;
+      fact_sets_ready_ = false;
+    }
     post = PrepareFactSets();
   } catch (const std::exception& e) {
     post = Status::Internal(std::string("delta post-commit rebuild failed: ") +
@@ -324,6 +387,8 @@ Status Spade::ApplyDelta(TripleChunkSource* adds, TripleChunkSource* retracts,
     out->noop_adds = noop_adds;
     out->noop_retracts = noop_retracts;
     out->num_attrs_changed = num_attrs_changed;
+    out->num_derived_reused = num_derived_reused;
+    out->fact_sets_kept = fact_sets_kept;
     out->num_cfs = fact_sets_.size();
     out->num_cfs_reused = online_cache_.size();
     out->apply_ms = apply_timer.ElapsedMillis();

@@ -46,21 +46,50 @@ struct DerivationReport {
   }
 };
 
+/// The previous derivation pass, for a pass over a store in which only some
+/// direct attributes changed (Spade::ApplyDelta). A derivation candidate
+/// whose source attributes are all untouched has the outcome it had in the
+/// previous pass: the strategy copies the previous table (name and
+/// derived_from set afresh) or, when the previous pass derived nothing for
+/// it, derives nothing again. Only candidates with a touched source run the
+/// derivation code. Iteration order, registration order, names, ids and the
+/// dictionary's interning order are those of a full pass: a full pass over an
+/// untouched source only re-interns terms that already exist.
+///
+/// Valid only when the previous pass ran under the same DerivationOptions.
+struct DerivationReuse {
+  /// The store the previous pass registered its tables in.
+  const AttributeStore* previous = nullptr;
+  /// Indexed by attribute id of the store being derived into. On entry, one
+  /// entry per direct attribute: its id in `previous` when its table (and so
+  /// its statistics) is unchanged, kInvalidAttr when the delta touched it.
+  /// DeriveAll appends one entry per table it registers: the id of the
+  /// previous table it copied, or kInvalidAttr for a table derived afresh.
+  std::vector<AttrId> previous_id;
+};
+
 /// Run every enabled derivation over the database's *direct* attributes,
 /// using their offline statistics (parallel array indexed by AttrId covering
 /// at least the direct attributes). New attributes are registered in `db`.
+/// With `reuse`, outcomes of candidates whose sources are untouched come from
+/// the previous pass (see DerivationReuse); the result is the same store.
 DerivationReport DeriveAll(AttributeStore* db, const std::vector<AttrStats>& stats,
-                           const DerivationOptions& options);
+                           const DerivationOptions& options,
+                           DerivationReuse* reuse = nullptr);
 
 /// Individual strategies (exposed for focused tests).
 size_t DeriveCounts(AttributeStore* db, const std::vector<AttrStats>& stats,
-                    const DerivationOptions& options);
+                    const DerivationOptions& options,
+                    DerivationReuse* reuse = nullptr);
 size_t DeriveKeywords(AttributeStore* db, const std::vector<AttrStats>& stats,
-                      const DerivationOptions& options);
+                      const DerivationOptions& options,
+                      DerivationReuse* reuse = nullptr);
 size_t DeriveLanguages(AttributeStore* db, const std::vector<AttrStats>& stats,
-                       const DerivationOptions& options);
+                       const DerivationOptions& options,
+                       DerivationReuse* reuse = nullptr);
 size_t DerivePaths(AttributeStore* db, const std::vector<AttrStats>& stats,
-                   const DerivationOptions& options);
+                   const DerivationOptions& options,
+                   DerivationReuse* reuse = nullptr);
 
 /// Tokenize a text value into keyword tokens: lower-cased alphabetic runs of
 /// at least `min_len` characters that are not stop words, capitalized as in

@@ -84,7 +84,11 @@ std::string ApplyToken(const std::string& token, ExploreRequest* req) {
   }
   if (key == "max-dims") {
     size_t n = 0;
-    if (!ParseSize(value, &n) || n == 0) return "bad max-dims '" + value + "'";
+    if (!ParseMaxDims(value, &n)) {
+      return "bad max-dims '" + value + "' (want an integer in [" +
+             std::to_string(kMinLatticeDims) + ", " +
+             std::to_string(kMaxLatticeDims) + "])";
+    }
     req->max_dims = n;
     return "";
   }

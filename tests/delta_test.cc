@@ -37,6 +37,7 @@
 #include "src/persist/serve.h"
 #include "src/persist/snapshot.h"
 #include "src/store/delta.h"
+#include "src/summary/summary.h"
 #include "src/util/failpoint.h"
 #include "src/util/rng.h"
 
@@ -696,6 +697,339 @@ TEST(DeltaEdgeTest, ApplyRequiresOfflineAndRejectsSaturation) {
     EXPECT_FALSE(st.ok());
     EXPECT_FALSE(p.spade->Compact().ok());
   }
+}
+
+// --- What a delta keeps: summary, fact sets, derivations. -------------------
+//
+// A delta that only replaces literal values keeps the structural summary and
+// the fact-set selection, and every derivation whose sources it did not
+// touch is copied from the previous store. Both shortcuts must be invisible:
+// after every batch the kept structures equal what a from-scratch build over
+// the same graph (same dictionary, so ids compare directly) produces.
+
+/// A linked universe: people work for companies (an IRI-valued reference,
+/// so paths derive), carry a one-or-two-valued email (a count source), an
+/// English biography (keyword and language sources) and numeric age;
+/// companies carry revenue and sector. `award` sits on one rare company that
+/// a single person works for: 1 of 40 worksFor values continue with it, under
+/// min_path_continuation (0.05), so worksFor/award is not derived.
+LSet LinkedUniverse() {
+  LSet out;
+  const LTerm type = Iri(vocab::kRdfType);
+  for (int c = 0; c < 8; ++c) {
+    LTerm co = Iri("http://d/co" + std::to_string(c));
+    out.insert({co, type, Iri("http://d/Company")});
+    out.insert({co, Iri("http://d/revenue"), Num(100 + 10 * c)});
+    out.insert({co, Iri("http://d/sector"), Str("s" + std::to_string(c % 3))});
+  }
+  const LTerm rare = Iri("http://d/co_rare");
+  out.insert({rare, type, Iri("http://d/Company")});
+  out.insert({rare, Iri("http://d/award"), Str("gold")});
+  for (int i = 0; i < 40; ++i) {
+    LTerm p = Iri("http://d/person" + std::to_string(i));
+    out.insert({p, type, Iri("http://d/Person")});
+    out.insert({p, Iri("http://d/worksFor"),
+                i == 0 ? rare : Iri("http://d/co" + std::to_string(i % 8))});
+    out.insert({p, Iri("http://d/email"), Str("p" + std::to_string(i))});
+    out.insert({p, Iri("http://d/bio"),
+                Str("The engineer works with the team in city " +
+                    std::to_string(i % 3) + " and writes software")});
+    out.insert({p, Iri("http://d/age"), Num(20 + i % 30)});
+  }
+  return out;
+}
+
+SpadeOptions SummaryOptions() {
+  SpadeOptions o = HarnessOptions();
+  o.cfs.summary_based = true;
+  return o;
+}
+
+/// The summary and fact sets the pipeline holds equal a fresh
+/// StructuralSummary::Build and SelectCandidateFactSets over its graph.
+::testing::AssertionResult MatchesSelectionOracles(const Spade& spade,
+                                                   const Graph& graph,
+                                                   const CfsOptions& cfs) {
+  const StructuralSummary fresh = StructuralSummary::Build(graph);
+  const StructuralSummary& kept = spade.summary();
+  if (kept.num_classes() != fresh.num_classes()) {
+    return ::testing::AssertionFailure()
+           << "summary classes " << kept.num_classes() << " vs "
+           << fresh.num_classes();
+  }
+  auto same = [](Span<TermId> a, Span<TermId> b) {
+    return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+  };
+  for (size_t c = 0; c < fresh.num_classes(); ++c) {
+    if (!same(kept.ClassMembers(c), fresh.ClassMembers(c)) ||
+        !same(kept.ClassPropertySpan(c), fresh.ClassPropertySpan(c))) {
+      return ::testing::AssertionFailure()
+             << "summary class " << c << " differs";
+    }
+  }
+  const std::vector<CandidateFactSet> want =
+      SelectCandidateFactSets(graph, &fresh, cfs);
+  const std::vector<CandidateFactSet>& got = spade.fact_sets();
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " fact sets vs " << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (got[i].name != want[i].name || got[i].origin != want[i].origin ||
+        got[i].members != want[i].members || got[i].type != want[i].type) {
+      return ::testing::AssertionFailure()
+             << "fact set " << i << ": " << got[i].name << " vs "
+             << want[i].name;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(DeltaShapeTest, ValueOnlyChurnKeepsSummaryAndFactSets) {
+  LSet cur = LinkedUniverse();
+  Pipeline p = MakePipeline(cur, SummaryOptions());
+  ASSERT_TRUE(p.spade->RunOffline().ok());
+  ASSERT_TRUE(p.spade->PrepareFactSets().ok());
+  const CfsOptions cfs = SummaryOptions().cfs;
+  ASSERT_TRUE(MatchesSelectionOracles(*p.spade, *p.graph, cfs));
+
+  // Replace ages and revenues, add a second email to one person and retract
+  // the second value again: every (s, p) keeps a value throughout.
+  Batch churn;
+  for (const LTriple& t : cur) {
+    if (t.p.text == "http://d/age" || t.p.text == "http://d/revenue") {
+      churn.retracts.push_back(t);
+      churn.adds.push_back({t.s, t.p, Num(t.o.num + 7)});
+    }
+  }
+  churn.adds.push_back(
+      {Iri("http://d/person3"), Iri("http://d/email"), Str("second")});
+  Batch undo;
+  undo.retracts.push_back(churn.adds.back());
+  for (const Batch& b : {churn, undo}) {
+    ApplyToMirror(&cur, b);
+    DeltaReport rep;
+    ASSERT_TRUE(ApplyBatch(&p, b, &rep).ok());
+    EXPECT_TRUE(rep.fact_sets_kept);
+    EXPECT_TRUE(MatchesSelectionOracles(*p.spade, *p.graph, cfs));
+  }
+}
+
+TEST(DeltaShapeTest, EveryShapeChangeReselects) {
+  LSet cur = LinkedUniverse();
+  Pipeline p = MakePipeline(cur, SummaryOptions());
+  ASSERT_TRUE(p.spade->RunOffline().ok());
+  ASSERT_TRUE(p.spade->PrepareFactSets().ok());
+  const CfsOptions cfs = SummaryOptions().cfs;
+
+  const LTerm p1 = Iri("http://d/person1");
+  const LTerm p2 = Iri("http://d/person2");
+  std::vector<std::pair<std::string, Batch>> changes(6);
+  changes[0].first = "rdf:type add";
+  changes[0].second.adds.push_back(
+      {p1, Iri(vocab::kRdfType), Iri("http://d/Company")});
+  changes[1].first = "IRI-object swap";
+  changes[1].second.retracts.push_back(
+      {p2, Iri("http://d/worksFor"), Iri("http://d/co2")});
+  changes[1].second.adds.push_back(
+      {p2, Iri("http://d/worksFor"), Iri("http://d/co_rare")});
+  changes[2].first = "last value of an (s, p) retracted";
+  changes[2].second.retracts.push_back({p1, Iri("http://d/age"), Num(21)});
+  changes[3].first = "new (s, p) on an existing subject";
+  changes[3].second.adds.push_back({p1, Iri("http://d/nickname"), Str("x")});
+  changes[4].first = "new subject";
+  changes[4].second.adds.push_back(
+      {Iri("http://d/newcomer"), Iri("http://d/email"), Str("new")});
+  changes[5].first = "rdf:type add with a literal object";
+  changes[5].second.adds.push_back(
+      {p2, Iri(vocab::kRdfType), Str("Contractor")});
+  for (const auto& [what, batch] : changes) {
+    SCOPED_TRACE(what);
+    const ExpectedCounts want = ApplyToMirror(&cur, batch);
+    ASSERT_GT(want.added + want.removed, 0u);
+    DeltaReport rep;
+    ASSERT_TRUE(ApplyBatch(&p, batch, &rep).ok());
+    EXPECT_FALSE(rep.fact_sets_kept);
+    EXPECT_TRUE(MatchesSelectionOracles(*p.spade, *p.graph, cfs));
+  }
+}
+
+/// The maintained store and statistics equal a from-scratch
+/// BuildDirectAttributes + statistics + DeriveAll over the same graph.
+void ExpectStoreMatchesRebuild(const Spade& spade, Graph* graph,
+                               const SpadeOptions& options) {
+  AttributeStore fresh(graph);
+  fresh.BuildDirectAttributes();
+  std::vector<AttrStats> stats;
+  for (AttrId a = 0; a < fresh.num_attributes(); ++a) {
+    stats.push_back(ComputeAttrStats(fresh, a));
+  }
+  DeriveAll(&fresh, stats, options.derivation);
+  for (AttrId a = static_cast<AttrId>(stats.size()); a < fresh.num_attributes();
+       ++a) {
+    stats.push_back(ComputeAttrStats(fresh, a));
+  }
+  const AttributeStore& kept = spade.store();
+  ASSERT_EQ(kept.num_attributes(), fresh.num_attributes());
+  ASSERT_EQ(spade.offline_stats().size(), stats.size());
+  for (AttrId a = 0; a < fresh.num_attributes(); ++a) {
+    const AttributeTable& k = kept.attribute(a);
+    const AttributeTable& f = fresh.attribute(a);
+    SCOPED_TRACE(f.name);
+    EXPECT_EQ(k.name, f.name);
+    EXPECT_EQ(k.origin, f.origin);
+    EXPECT_EQ(k.property, f.property);
+    EXPECT_EQ(k.derived_from, f.derived_from);
+    EXPECT_TRUE(SameColumns(k, f));
+    const AttrStats& ks = spade.offline_stats()[a];
+    const AttrStats& fs = stats[a];
+    EXPECT_EQ(ks.kind, fs.kind);
+    EXPECT_EQ(ks.num_subjects, fs.num_subjects);
+    EXPECT_EQ(ks.num_values, fs.num_values);
+    EXPECT_EQ(ks.num_distinct_values, fs.num_distinct_values);
+    EXPECT_EQ(ks.num_multi_subjects, fs.num_multi_subjects);
+    EXPECT_EQ(ks.min_value, fs.min_value);
+    EXPECT_EQ(ks.max_value, fs.max_value);
+    EXPECT_EQ(ks.avg_text_length, fs.avg_text_length);
+  }
+}
+
+TEST(DeltaDerivationTest, ReusedDerivationsMatchAFullPass) {
+  LSet cur = LinkedUniverse();
+  SpadeOptions options = HarnessOptions();
+  Pipeline p = MakePipeline(cur, options);
+  ASSERT_TRUE(p.spade->RunOffline().ok());
+  // Each apply replaces the store: look attributes up afresh every time.
+  auto has = [&](const std::string& name) {
+    return p.spade->store().FindAttribute(name).has_value();
+  };
+  ASSERT_TRUE(has("worksFor/revenue"));
+  ASSERT_FALSE(has("worksFor/award"));
+  ASSERT_FALSE(has("count(email)"));
+  ASSERT_TRUE(has("kwIn(bio)"));
+  ASSERT_TRUE(has("langOf(bio)"));
+
+  const LTerm email = Iri("http://d/email");
+  const LTerm bio = Iri("http://d/bio");
+  const LTerm works = Iri("http://d/worksFor");
+  const LTerm award = Iri("http://d/award");
+  const LTerm p5 = Iri("http://d/person5");
+  const LTerm co1 = Iri("http://d/co1");
+  std::vector<std::pair<std::string, Batch>> batches(8);
+  batches[0].first = "count source turns multi-valued";
+  batches[0].second.adds.push_back({p5, email, Str("second")});
+  batches[1].first = "count source turns single-valued again";
+  batches[1].second.retracts.push_back({p5, email, Str("second")});
+  batches[2].first = "text source edited";
+  batches[2].second.retracts.push_back(
+      {p5, bio,
+       Str("The engineer works with the team in city 2 and writes software")});
+  batches[2].second.adds.push_back(
+      {p5, bio,
+       Str("Le directeur est dans la ville avec une equipe pour que")});
+  batches[3].first = "path p1 touched";
+  batches[3].second.retracts.push_back({p5, works, Iri("http://d/co5")});
+  batches[3].second.adds.push_back({p5, works, co1});
+  batches[4].first = "path p2 touched";
+  for (const LTriple& t : cur) {
+    if (t.p.text == "http://d/revenue") {
+      batches[4].second.retracts.push_back(t);
+      batches[4].second.adds.push_back({t.s, t.p, Num(t.o.num * 3)});
+    }
+  }
+  batches[5].first = "pair pushed over min_path_continuation";
+  batches[5].second.adds.push_back({co1, award, Str("silver")});
+  batches[6].first = "pair pushed back under min_path_continuation";
+  batches[6].second.retracts.push_back({co1, award, Str("silver")});
+  // award's property id precedes bio's and worksFor's, so their attribute
+  // ids shift down while their derivations are copied.
+  batches[7].first = "a direct attribute vanishes";
+  batches[7].second.retracts.push_back(
+      {Iri("http://d/co_rare"), award, Str("gold")});
+
+  for (const auto& [what, batch] : batches) {
+    SCOPED_TRACE(what);
+    const ExpectedCounts want = ApplyToMirror(&cur, batch);
+    ASSERT_GT(want.added + want.removed, 0u);
+    DeltaReport rep;
+    ASSERT_TRUE(ApplyBatch(&p, batch, &rep).ok());
+    EXPECT_GT(rep.num_derived_reused, 0u);
+    EXPECT_LE(rep.num_derived_reused, p.spade->report().derivations.total());
+    ExpectStoreMatchesRebuild(*p.spade, p.graph.get(), options);
+    if (what == batches[0].first) {
+      EXPECT_TRUE(has("count(email)"));
+    }
+    if (what == batches[5].first) {
+      EXPECT_TRUE(has("worksFor/award"));
+    }
+  }
+  EXPECT_FALSE(has("count(email)"));
+  EXPECT_FALSE(has("award"));
+}
+
+TEST(DeltaDerivationTest, NumericChurnReusesEveryDerivationOfOtherSources) {
+  LSet cur = LinkedUniverse();
+  Pipeline p = MakePipeline(cur, HarnessOptions());
+  ASSERT_TRUE(p.spade->RunOffline().ok());
+  ASSERT_TRUE(p.spade->PrepareFactSets().ok());
+  const size_t derived = p.spade->report().derivations.total();
+  ASSERT_GT(derived, 1u);
+
+  // Churn every company revenue: of the derived attributes only the path
+  // worksFor/revenue reads it; all the others are copied.
+  Batch b;
+  for (const LTriple& t : cur) {
+    if (t.p.text == "http://d/revenue") {
+      b.retracts.push_back(t);
+      b.adds.push_back({t.s, t.p, Num(t.o.num + 1)});
+    }
+  }
+  ApplyToMirror(&cur, b);
+  DeltaReport rep;
+  ASSERT_TRUE(ApplyBatch(&p, b, &rep).ok());
+  EXPECT_TRUE(rep.fact_sets_kept);
+  EXPECT_EQ(rep.num_derived_reused, derived - 1);
+  EXPECT_EQ(rep.num_attrs_changed, 2u);  // revenue and worksFor/revenue
+  ExpectStoreMatchesRebuild(*p.spade, p.graph.get(), HarnessOptions());
+}
+
+TEST(DeltaDerivationTest, FirstDeltaAfterASnapshotAttachDerivesEverything) {
+  // A snapshot does not record the options its derivations ran under, so
+  // the first delta after an attach cannot trust them; the next one can.
+  LSet cur = LinkedUniverse();
+  Pipeline built = MakePipeline(cur, HarnessOptions());
+  ASSERT_TRUE(built.spade->RunOffline().ok());
+  const std::string path = ::testing::TempDir() + "delta_derive_attach.snap";
+  ASSERT_TRUE(built.spade->SaveStore(path).ok());
+
+  Graph g;
+  SpadeOptions o = HarnessOptions();
+  o.load_store = path;
+  Spade spade(&g, o);
+  ASSERT_TRUE(spade.RunOffline().ok());
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<Triple> adds, rets;
+    for (const LTriple& t : cur) {
+      if (t.p.text == "http://d/age" && t.s.text == "http://d/person7") {
+        rets.push_back(Encode(&g, t));
+        LTriple repl{t.s, t.p, Num(t.o.num + 1 + round)};
+        adds.push_back(Encode(&g, repl));
+        cur.erase(t);
+        cur.insert(repl);
+        break;
+      }
+    }
+    ASSERT_EQ(adds.size(), 1u);
+    VectorChunkSource add_src({std::move(adds)});
+    VectorChunkSource ret_src({std::move(rets)});
+    DeltaReport rep;
+    ASSERT_TRUE(spade.ApplyDelta(&add_src, &ret_src, &rep).ok());
+    EXPECT_EQ(rep.num_derived_reused,
+              round == 0 ? 0u : spade.report().derivations.total());
+    ExpectStoreMatchesRebuild(spade, &g, o);
+  }
+  std::remove(path.c_str());
 }
 
 // --- Compaction oracle. -----------------------------------------------------

@@ -471,5 +471,29 @@ TEST(ServeTest, OutputIsByteIdenticalAcrossThreadCounts) {
   std::remove(path.c_str());
 }
 
+TEST(ServeTest, MaxDimsOutsideTheLatticeRangeIsAnError) {
+  // The same [1, 4] range as the CLI's --max-dims: a request for a wider
+  // lattice is refused up front, never evaluated.
+  auto graph = GenerateSynthetic(SmallCorpus());
+  Spade spade(graph.get(), BaseOptions());
+  ASSERT_TRUE(spade.RunOffline().ok());
+  ASSERT_TRUE(spade.PrepareFactSets().ok());
+  persist::InsightServer server(&spade, persist::ServeOptions());
+  std::istringstream in(
+      "explore max-dims=5\n"
+      "explore max-dims=0\n"
+      "explore top=1 max-dims=4\n");
+  std::ostringstream out;
+  persist::ServeStats stats = server.Serve(in, out);
+  EXPECT_EQ(stats.num_requests, 3u);
+  EXPECT_EQ(stats.num_errors, 2u);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("#1 error: bad max-dims '5' (want an integer in [1, 4])"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("#2 error: bad max-dims '0'"), std::string::npos) << text;
+  EXPECT_NE(text.find("#3 ok"), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace spade

@@ -205,11 +205,12 @@ int main(int argc, char** argv) {
       options.saturate = true;
     } else if (arg == "--max-dims") {
       const char* v = next();
-      int64_t n;
-      if (v == nullptr || !spade::ParseInt64(v, &n) || n < 1 || n > 4) {
-        return Fail("--max-dims needs an integer in [1, 4]");
+      if (v == nullptr ||
+          !spade::ParseMaxDims(v, &options.enumeration.max_dims)) {
+        return Fail("--max-dims needs an integer in [" +
+                    std::to_string(spade::kMinLatticeDims) + ", " +
+                    std::to_string(spade::kMaxLatticeDims) + "]");
       }
-      options.enumeration.max_dims = static_cast<size_t>(n);
     } else if (arg == "--min-support") {
       const char* v = next();
       double r;
